@@ -38,6 +38,7 @@ from .errors import (
     ConstraintViolation,
     EnumerationLimit,
     ParseFailure,
+    SamplerExhausted,
     TransportFailure,
 )
 from .harness import (
@@ -56,6 +57,7 @@ from .harness import (
 from .metrics import (
     MetricsSummary,
     ProposalRecord,
+    RunScorer,
     aggregate,
     coverage_fraction,
     creativity_measures,

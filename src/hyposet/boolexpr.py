@@ -294,6 +294,10 @@ def serialize_expr(expr: BoolExpr) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
+# Parse trees, and the recursive walks over them, are at most this deep;
+# at the bound a walk uses about 400 of Python's default 1000 frames.
+MAX_TOKENS = 200
+
 _TOKEN_RE = re.compile(r"\s*(AND\b|OR\b|NOT\b|[xy01()]|[¬∧∨&|!])")
 
 _SYMBOL_OPS = {"¬": "NOT", "!": "NOT", "∧": "AND", "&": "AND", "∨": "OR", "|": "OR"}
@@ -311,6 +315,11 @@ def _tokenize(text: str) -> list[str]:
                 f"unexpected character {text[pos:].lstrip()[0]!r}",
                 position=len(tokens) + 1,
             )
+        if len(tokens) == MAX_TOKENS:
+            raise ParseFailure(
+                f"expression longer than the {MAX_TOKENS}-token limit",
+                position=MAX_TOKENS + 1,
+            )
         tok = m.group(1)
         tokens.append(_SYMBOL_OPS.get(tok, tok))
         pos = m.end()
@@ -322,7 +331,8 @@ def parse_expr(text: str) -> BoolExpr:
     tightest-binding NOT; also accepts the symbol spellings.
 
     The body to parse is everything after an optional ``EXPR:`` prefix.
-    Failures report the 1-based token position.
+    Failures report the 1-based token position. A body of more than
+    MAX_TOKENS tokens is rejected before any tree is built.
     """
     body = text.strip()
     if body.startswith("EXPR:"):

@@ -279,8 +279,9 @@ def _write_csv(path, columns, rows):
             writer.writerow(row)
 
 
-def _entropy_rows(instance_id, records) -> list[dict]:
-    gains = metrics.info_gain_series(records)
+def _entropy_rows(instance_id, patterns) -> list[dict]:
+    """Entropy series rows over records or their comparison keys."""
+    gains = metrics.info_gain_series(patterns)
     rows = []
     cumulative = 0.0
     for t, delta in enumerate(gains, start=1):
@@ -334,24 +335,6 @@ def cmd_run(args) -> int:
         f"summary in {os.path.join(cfg.out, 'summary.csv')}"
     )
     return 0 if skipped == 0 else 3
-
-
-def _pattern_records(proposals):
-    """Rebuild just enough of each record to recompute entropy series."""
-    valid_categories = {"valid_novel", "duplicate_exact", "duplicate_canonical"}
-    out = []
-    for prop in proposals:
-        out.append(
-            metrics.ProposalRecord(
-                index=prop["index"],
-                raw_text=prop["raw"],
-                parsed=prop["canonical"],
-                category=prop["category"],
-                valid=1 if prop["category"] in valid_categories else 0,
-                novel=1 if prop["category"] == "valid_novel" else 0,
-            )
-        )
-    return out
 
 
 def cmd_report(args) -> int:
@@ -408,9 +391,11 @@ def cmd_report(args) -> int:
         coverage_cells.setdefault((sampler, task, difficulty), []).append(
             summary["coverage"]
         )
-        entropy_by_sampler[sampler].extend(
-            _entropy_rows(header["instance_id"], _pattern_records(log["proposals"]))
-        )
+        keys = [
+            p["canonical"] if p["canonical"] is not None else p["raw"]
+            for p in log["proposals"]
+        ]
+        entropy_by_sampler[sampler].extend(_entropy_rows(header["instance_id"], keys))
 
     order: dict[str, int] = {}
     for task in tasks_seen:

@@ -29,5 +29,10 @@ class TransportFailure(RuntimeError):
     """Remote endpoint kept failing after the retry budget was exhausted."""
 
 
+class SamplerExhausted(ValueError):
+    """A sampler has no further proposal to give, e.g. an oracle asked for
+    more proposals than the admissible set holds; the run aborts."""
+
+
 class ConfigError(ValueError):
     """Sampler or suite configuration is unusable."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import requests
 
 from . import metrics
-from .errors import ConfigError, TransportFailure
+from .errors import ConfigError, SamplerExhausted, TransportFailure
 from .tasks import get_task
 
 DEFAULT_N_CAP = 100
@@ -104,11 +104,14 @@ class SamplerConfig:
         return f"{self.kind}:{self.digest()}"
 
 
-def send_chat(config: SamplerConfig, prompt: str) -> tuple[str, dict]:
+def send_chat(
+    config: SamplerConfig, prompt: str, session: requests.Session | None = None
+) -> tuple[str, dict]:
     """One chat-completions request; returns (content, usage).
 
     Non-2xx responses and transport errors are retried with exponential
     backoff up to ``max_attempts`` total tries, then raise TransportFailure.
+    With a ``session``, requests reuse its kept-alive connection.
     """
     token = os.environ.get(config.api_key_env)
     if not token:
@@ -131,7 +134,7 @@ def send_chat(config: SamplerConfig, prompt: str) -> tuple[str, dict]:
         if attempt:
             time.sleep(config.backoff * 2 ** (attempt - 1))
         try:
-            response = requests.post(
+            response = (session or requests).post(
                 config.endpoint, json=payload, headers=headers, timeout=120
             )
         except requests.RequestException as err:
@@ -162,8 +165,9 @@ class OracleSampler:
             try:
                 self._cache.append(next(self._iterator))
             except StopIteration:
-                raise ValueError(
-                    "oracle exhausted: attempt index beyond the admissible set"
+                raise SamplerExhausted(
+                    f"oracle exhausted: attempt {context.attempt_index} is beyond"
+                    f" the admissible set of {len(self._cache)}"
                 )
         return self._cache[context.attempt_index - 1]
 
@@ -196,16 +200,24 @@ class ScriptedSampler:
 
 
 class RemoteSampler:
-    """One stateless chat request per proposal; usage counters accumulate."""
+    """One stateless chat request per proposal, all over one HTTP session
+    (one kept-alive connection per run); usage counters accumulate."""
 
     def __init__(self, config: SamplerConfig):
         self._config = config
+        self._session = requests.Session()
         self.total_tokens = 0
 
     def next_proposal(self, context: SamplerContext) -> str:
-        content, usage = send_chat(self._config, render_prompt(context))
+        content, usage = send_chat(
+            self._config, render_prompt(context), session=self._session
+        )
         self.total_tokens += int(usage.get("total_tokens", 0) or 0)
         return content
+
+    def close(self):
+        """Close the run's HTTP session and its connection."""
+        self._session.close()
 
 
 def make_sampler(config: SamplerConfig, task, instance):
@@ -288,6 +300,8 @@ def run_instance(
 
     writer = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     started = time.perf_counter()
+    scorer = metrics.RunScorer(task.admissible_keys(instance))
+    observations_text = task.observations_text(instance)
     records: list[metrics.ProposalRecord] = []
     history: list[str] = []
     complete = True
@@ -300,19 +314,19 @@ def run_instance(
             context = SamplerContext(
                 task=task.name,
                 template_id=task.template_id,
-                observations_text=task.observations_text(instance),
+                observations_text=observations_text,
                 schema_text=task.schema_text,
                 history=tuple(history),
                 attempt_index=index,
             )
             try:
                 raw = sampler.next_proposal(context)
-            except TransportFailure as err:
+            except (TransportFailure, SamplerExhausted) as err:
                 complete = False
                 abort_error = str(err)
                 break
             evaluation = task.evaluate_text(instance, raw)
-            record = metrics.make_record(index, raw, evaluation, records)
+            record = metrics.make_record(index, raw, evaluation, scorer)
             records.append(record)
             history.append(raw)
             if writer:
@@ -336,9 +350,8 @@ def run_instance(
 
         summary = None
         if complete:
-            keys = task.admissible_keys(instance)
-            base = metrics.score_run(records, keys)
-            c_count, c_entropy = metrics.creativity_measures(records, keys, epsilon)
+            base = metrics.score_run(scorer)
+            c_count, c_entropy = metrics.creativity_measures(scorer, epsilon=epsilon)
             summary = replace(
                 base,
                 c_count=c_count,
@@ -431,19 +444,23 @@ def run_suite(
                     out_dir,
                     f"{instance.instance_id}-{sampler_config.digest()}.jsonl",
                 )
-            logs.append(
-                run_instance(
-                    task,
-                    instance,
-                    sampler,
-                    sampler_config,
-                    n_override=n_override,
-                    n_cap=n_cap,
-                    log_path=log_path,
-                    deterministic=deterministic,
-                    config_digest=config_digest,
+            try:
+                logs.append(
+                    run_instance(
+                        task,
+                        instance,
+                        sampler,
+                        sampler_config,
+                        n_override=n_override,
+                        n_cap=n_cap,
+                        log_path=log_path,
+                        deterministic=deterministic,
+                        config_digest=config_digest,
+                    )
                 )
-            )
+            finally:
+                if isinstance(sampler, RemoteSampler):
+                    sampler.close()
     return logs
 
 
@@ -491,13 +508,10 @@ def rescore_log(path) -> tuple[dict, metrics.MetricsSummary]:
         raise ValueError(f"{path}: incomplete log has no summary to check")
     instance = load_instance(log["header"]["instance"])
     task = get_task(log["header"]["task"])
-    records: list[metrics.ProposalRecord] = []
+    scorer = metrics.RunScorer(task.admissible_keys(instance))
     for prop in log["proposals"]:
         evaluation = task.evaluate_text(instance, prop["raw"])
-        records.append(
-            metrics.make_record(prop["index"], prop["raw"], evaluation, records)
-        )
-    keys = task.admissible_keys(instance)
-    base = metrics.score_run(records, keys)
-    c_count, c_entropy = metrics.creativity_measures(records, keys)
+        metrics.make_record(prop["index"], prop["raw"], evaluation, scorer)
+    base = metrics.score_run(scorer)
+    c_count, c_entropy = metrics.creativity_measures(scorer)
     return log["summary"], replace(base, c_count=c_count, c_entropy_bits=c_entropy)

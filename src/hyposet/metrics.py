@@ -9,11 +9,20 @@ admissible set H:
 * uniqueness rate NR = #novel / N   (order-respecting, all proposals)
 * recovery rate   RR = #(valid and novel, canonical form in H) / |H|
 
-Novelty compares canonical forms when an emission parses and exact raw text
-otherwise, so every proposal has a comparison key. Each proposal lands in
-exactly one failure category, resolved in this precedence order:
-parse_failure, constraint_violation, invalid, duplicate_exact,
+Every proposal has a comparison key: its canonical form when the emission
+parses, its exact raw text otherwise. A valid proposal is novel iff no
+earlier valid proposal has its canonical form; any other proposal is novel
+iff no earlier proposal shares its comparison key. So an out-of-space or
+invalid emission never uses up the novelty of a valid hypothesis, RR equals
+coverage (the fraction of H hit by distinct valid canonical forms) in every
+run, and RR <= NR. Each proposal lands in exactly one failure category,
+resolved in this precedence order: parse_failure, constraint_violation,
+invalid, duplicate_exact (valid, not novel, raw text seen before),
 duplicate_canonical, valid_novel.
+
+RunScorer holds a run's running state: classifying a proposal costs O(1)
+whatever came before, and closing the run needs no second pass over the
+records. The module-level functions are thin uses of it.
 """
 
 from __future__ import annotations
@@ -73,45 +82,6 @@ def record_key(record: ProposalRecord) -> str:
     return record.parsed if record.parsed is not None else record.raw_text
 
 
-def is_novel(comparison_key: str, earlier_records) -> int:
-    """1 iff no earlier record shares the comparison key."""
-    return int(all(record_key(r) != comparison_key for r in earlier_records))
-
-
-def make_record(
-    index: int,
-    raw_text: str,
-    evaluation: TextEvaluation,
-    earlier_records,
-) -> ProposalRecord:
-    """Classify one emission given everything emitted before it."""
-    parsed = None if evaluation.parse_error is not None else evaluation.canonical
-    key = parsed if parsed is not None else raw_text
-    novel = is_novel(key, earlier_records)
-    valid = int(evaluation.valid)
-    if evaluation.parse_error is not None:
-        category = "parse_failure"
-    elif evaluation.constraint_error is not None:
-        category = "constraint_violation"
-    elif not valid:
-        category = "invalid"
-    elif not novel:
-        if any(r.raw_text == raw_text for r in earlier_records):
-            category = "duplicate_exact"
-        else:
-            category = "duplicate_canonical"
-    else:
-        category = "valid_novel"
-    return ProposalRecord(
-        index=index,
-        raw_text=raw_text,
-        parsed=parsed,
-        category=category,
-        valid=valid,
-        novel=novel,
-    )
-
-
 @dataclass(frozen=True)
 class MetricsSummary:
     vr: float
@@ -125,67 +95,175 @@ class MetricsSummary:
     token_count: int | None = None
 
 
-def _check_run(records, admissible_set):
-    if len(records) == 0:
-        raise ValueError("empty run: no records to score")
-    if len(admissible_set) == 0:
-        raise ValueError("admissible set must be nonempty")
-
-
-def _recovered_flags(records, admissible_set):
-    for r in records:
-        yield r.valid and r.novel and r.parsed is not None and r.parsed in admissible_set
-
-
-def score_run(records, admissible_set) -> MetricsSummary:
-    """VR/NR/RR plus the RR@k curve, coverage, and per-category counts.
+class RunScorer:
+    """Running state of one run: classifies each proposal in O(1) and
+    summarises the run from its counters, with no pass over the records.
 
     ``admissible_set`` needs only ``len`` and ``in`` over canonical forms, so
-    lazily counted sets work too.
+    lazily counted sets work too. It is taken once, when the run starts, and
+    each distinct valid canonical form is tested against it once. Without
+    it the scorer only classifies.
     """
-    records = tuple(records)
-    _check_run(records, admissible_set)
-    n = len(records)
-    h = len(admissible_set)
-    curve = []
-    recovered = 0
-    for flag in _recovered_flags(records, admissible_set):
-        recovered += int(flag)
-        curve.append(recovered / h)
-    counts = Counter(r.category for r in records)
-    return MetricsSummary(
-        vr=sum(r.valid for r in records) / n,
-        nr=sum(r.novel for r in records) / n,
-        rr=recovered / h,
-        rr_at_k=tuple(curve),
-        failure_counts={c: counts.get(c, 0) for c in CATEGORIES},
-        coverage=coverage_fraction(records, admissible_set),
-    )
+
+    def __init__(self, admissible_set=None):
+        self._admissible = admissible_set
+        self.admissible_size = 0 if admissible_set is None else len(admissible_set)
+        self._valid_keys: set[str] = set()  # comparison keys of valid proposals
+        self._other_keys: set[str] = set()  # and of all other proposals
+        self._raw: set[str] = set()
+        self._counts = dict.fromkeys(CATEGORIES, 0)
+        self._valid = 0
+        self._novel = 0
+        self._recovered: set[str] = set()
+        self._curve: list[float] = []
+        self._valid_forms: Counter[str] = Counter()
+        self.n = 0
+
+    @classmethod
+    def replay(cls, records, admissible_set=None) -> "RunScorer":
+        """A scorer that has observed ``records`` in order."""
+        scorer = cls(admissible_set)
+        for record in records:
+            scorer.observe(record)
+        return scorer
+
+    def is_novel(self, comparison_key: str, valid: bool = False) -> int:
+        """1 iff no earlier valid proposal shares the comparison key and, for
+        a proposal that is not valid, no other earlier proposal does."""
+        return int(
+            comparison_key not in self._valid_keys
+            and (valid or comparison_key not in self._other_keys)
+        )
+
+    def classify(
+        self, index: int, raw_text: str, evaluation: TextEvaluation
+    ) -> ProposalRecord:
+        """The record of the next proposal; the state does not change."""
+        parsed = None if evaluation.parse_error is not None else evaluation.canonical
+        valid = int(evaluation.valid)
+        novel = self.is_novel(parsed if parsed is not None else raw_text, valid)
+        if evaluation.parse_error is not None:
+            category = "parse_failure"
+        elif evaluation.constraint_error is not None:
+            category = "constraint_violation"
+        elif not valid:
+            category = "invalid"
+        elif not novel:
+            if raw_text in self._raw:
+                category = "duplicate_exact"
+            else:
+                category = "duplicate_canonical"
+        else:
+            category = "valid_novel"
+        return ProposalRecord(
+            index=index,
+            raw_text=raw_text,
+            parsed=parsed,
+            category=category,
+            valid=valid,
+            novel=novel,
+        )
+
+    def observe(self, record: ProposalRecord) -> None:
+        """Fold one classified proposal into the running state."""
+        (self._valid_keys if record.valid else self._other_keys).add(record_key(record))
+        self._raw.add(record.raw_text)
+        self._counts[record.category] += 1
+        self._valid += record.valid
+        self._novel += record.novel
+        self.n += 1
+        if record.valid and record.parsed is not None:
+            self._valid_forms[record.parsed] += 1
+            if (
+                record.novel
+                and self._admissible is not None
+                and record.parsed in self._admissible
+            ):
+                self._recovered.add(record.parsed)
+        if self.admissible_size:
+            self._curve.append(len(self._recovered) / self.admissible_size)
+
+    @property
+    def coverage(self) -> float:
+        """Fraction of the admissible set hit by distinct valid canonical
+        forms; equal to RR under the novelty rule."""
+        if not self.admissible_size:
+            raise ValueError("admissible set must be nonempty")
+        return len(self._recovered) / self.admissible_size
+
+    def summary(self) -> MetricsSummary:
+        """VR/NR/RR plus the RR@k curve, coverage, and per-category counts."""
+        if self.n == 0:
+            raise ValueError("empty run: no records to score")
+        coverage = self.coverage
+        return MetricsSummary(
+            vr=self._valid / self.n,
+            nr=self._novel / self.n,
+            rr=coverage,
+            rr_at_k=tuple(self._curve),
+            failure_counts=dict(self._counts),
+            coverage=coverage,
+        )
+
+    def creativity(self, epsilon: float = 0.0) -> tuple[int, float]:
+        """(count of valid canonical forms whose empirical frequency exceeds
+        ``epsilon``, entropy in bits of that empirical distribution)."""
+        counts = self._valid_forms
+        if not counts:
+            return 0, 0.0
+        total = counts.total()
+        c_count = sum(1 for c in counts.values() if c / total > epsilon)
+        return c_count, _entropy_bits(counts.values())
 
 
-def rr_at_k(records, admissible_set) -> tuple[float, ...]:
+def _as_scorer(run, admissible_set=None) -> RunScorer:
+    if isinstance(run, RunScorer):
+        return run
+    return RunScorer.replay(run, admissible_set)
+
+
+def is_novel(comparison_key: str, earlier, *, valid: bool = False) -> int:
+    """1 iff no earlier record shares the comparison key; a valid proposal
+    is compared with the earlier valid records only. ``earlier`` is a
+    RunScorer or a sequence of records."""
+    return _as_scorer(earlier).is_novel(comparison_key, valid)
+
+
+def make_record(
+    index: int,
+    raw_text: str,
+    evaluation: TextEvaluation,
+    earlier,
+) -> ProposalRecord:
+    """Classify one emission given everything emitted before it.
+
+    ``earlier`` is the run's RunScorer, which then also observes the new
+    record, or a sequence of the earlier records, which is left unchanged.
+    """
+    if not isinstance(earlier, RunScorer):
+        return RunScorer.replay(earlier).classify(index, raw_text, evaluation)
+    record = earlier.classify(index, raw_text, evaluation)
+    earlier.observe(record)
+    return record
+
+
+def score_run(records, admissible_set=None) -> MetricsSummary:
+    """VR/NR/RR plus the RR@k curve, coverage, and per-category counts.
+
+    ``records`` is a RunScorer, which carries its admissible set, or a
+    sequence of records scored against ``admissible_set``.
+    """
+    return _as_scorer(records, admissible_set).summary()
+
+
+def rr_at_k(records, admissible_set=None) -> tuple[float, ...]:
     """Entry k is the recovery rate over the first k records; nondecreasing."""
-    records = tuple(records)
-    _check_run(records, admissible_set)
-    h = len(admissible_set)
-    out = []
-    recovered = 0
-    for flag in _recovered_flags(records, admissible_set):
-        recovered += int(flag)
-        out.append(recovered / h)
-    return tuple(out)
+    return score_run(records, admissible_set).rr_at_k
 
 
-def coverage_fraction(records, admissible_set) -> float:
+def coverage_fraction(records, admissible_set=None) -> float:
     """Fraction of the admissible set hit by distinct valid canonical forms."""
-    if len(admissible_set) == 0:
-        raise ValueError("admissible set must be nonempty")
-    hit = {
-        r.parsed
-        for r in records
-        if r.valid and r.parsed is not None and r.parsed in admissible_set
-    }
-    return len(hit) / len(admissible_set)
+    return _as_scorer(records, admissible_set).coverage
 
 
 def _entropy_bits(counts) -> float:
@@ -202,26 +280,39 @@ def pattern_entropy(records) -> float:
     return _entropy_bits(Counter(record_key(r) for r in records).values())
 
 
-def info_gain_series(records) -> tuple[float, ...]:
+def _c_log2_c(c: int) -> float:
+    return c * math.log2(c) if c else 0.0
+
+
+def info_gain_series(patterns) -> tuple[float, ...]:
     """Stepwise entropy change: element t is H_t - H_{t-1} with H_0 = 0,
-    so partial sums telescope back to the prefix entropies."""
-    records = tuple(records)
-    if not records:
-        raise ValueError("information gain needs at least one record")
-    seen: Counter[str] = Counter()
+    so partial sums telescope back to the prefix entropies.
+
+    ``patterns`` are records or their comparison keys. H_t is updated per
+    step as log2 t - (1/t) * sum(c * log2 c) over the prefix's pattern
+    counts c, so the series costs O(N).
+    """
+    counts: Counter[str] = Counter()
+    weighted = 0.0
     series = []
     previous = 0.0
-    for r in records:
-        seen[record_key(r)] += 1
-        current = _entropy_bits(seen.values())
+    for t, pattern in enumerate(patterns, start=1):
+        key = pattern if isinstance(pattern, str) else record_key(pattern)
+        c = counts[key]
+        counts[key] = c + 1
+        weighted += _c_log2_c(c + 1) - _c_log2_c(c)
+        # one pattern has zero entropy; the formula would leave rounding
+        current = math.log2(t) - weighted / t if len(counts) > 1 else 0.0
         series.append(current - previous)
         previous = current
+    if not series:
+        raise ValueError("information gain needs at least one record")
     return tuple(series)
 
 
 def creativity_measures(
     records,
-    admissible_set,
+    admissible_set=None,
     epsilon: float = 0.0,
     *,
     posterior: str = "empirical",
@@ -229,28 +320,23 @@ def creativity_measures(
     """(hypothesis count above the plausibility threshold, posterior entropy
     in bits).
 
-    The default posterior is the empirical frequency distribution over the
-    run's valid canonical hypotheses; ``posterior="uniform"`` switches to the
-    uniform distribution over the whole admissible set. A run with no valid
+    ``records`` is a RunScorer or a sequence of records. The default
+    posterior is the empirical frequency distribution over the run's valid
+    canonical hypotheses; ``posterior="uniform"`` switches to the uniform
+    distribution over the whole admissible set. A run with no valid
     proposals scores (0, 0.0).
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must satisfy 0 <= epsilon < 1")
     if posterior == "uniform":
-        h = len(admissible_set)
+        h = _as_scorer(records, admissible_set).admissible_size
         if h == 0:
             raise ValueError("admissible set must be nonempty")
         c_count = h if 1 / h > epsilon else 0
         return c_count, math.log2(h)
     if posterior != "empirical":
         raise ValueError(f"unknown posterior {posterior!r}")
-    counts = Counter(r.parsed for r in records if r.valid and r.parsed is not None)
-    if not counts:
-        return 0, 0.0
-    total = sum(counts.values())
-    probs = [c / total for c in counts.values()]
-    c_count = sum(1 for p in probs if p > epsilon)
-    return c_count, _entropy_bits(counts.values())
+    return _as_scorer(records).creativity(epsilon)
 
 
 # --- aggregation --------------------------------------------------------------

@@ -149,27 +149,37 @@ class CausalTask:
         )
 
 
+# (cell above, cell below) pairs a gravity-respecting stack can hold
+_STACKED = frozenset({("/", "/"), ("0", "0"), ("0", "1"), ("1", "1")})
+
+
 class _LazyStackSet:
-    """len/contains view over the voxel admissible set; membership re-checks
-    the candidate against the projection instead of materializing."""
+    """len/contains view over the voxel admissible set; membership is a
+    string check of the canonical key, without materializing any stack."""
 
     def __init__(self, instance):
         self._instance = instance
+        self._bottom = "/".join(
+            "".join(str(v) for v in row) for row in instance.projection
+        )
 
     def __len__(self):
         return self._instance.count
 
     def __contains__(self, key):
+        """True iff ``key`` has K layers shaped like the projection, with 0/1
+        cells; its bottom layer equals the projection (a column is occupied
+        iff its bottom cell is); and every column is a bottom-anchored
+        prefix."""
         if not isinstance(key, str):
             return False
-        try:
-            stack = voxel.stack_from_canon(key)
-        except (ValueError, IndexError):
+        layers = key.split("|")
+        if len(layers) != self._instance.k or layers[0] != self._bottom:
             return False
-        inst = self._instance
-        if stack.shape != (inst.k,) + inst.projection_array.shape:
-            return False
-        return voxel.validate_stack(stack, inst.projection_array)
+        return all(
+            len(above) == len(below) and _STACKED.issuperset(zip(above, below))
+            for below, above in zip(layers, layers[1:])
+        )
 
     def __iter__(self):
         return (

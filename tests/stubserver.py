@@ -2,15 +2,17 @@
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class StubChatServer:
-    """Serves a fixed script of responses, one per request.
+    """Serves a fixed script of responses, one per request, over HTTP/1.1
+    with keep-alive.
 
     Script items are either ("content", text) for a 200 completion or
     ("status", code) for a bare error response. Requests beyond the script
-    repeat the last item. All request payloads are recorded.
+    repeat the last item. All request payloads are recorded, with the
+    client's (host, port), so tests can count connections.
     """
 
     def __init__(self, script):
@@ -19,35 +21,40 @@ class StubChatServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def _reply(self, code, body, content_type):
+                self.send_response(code)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
                 outer.requests.append(
                     {"path": self.path, "body": body,
-                     "auth": self.headers.get("Authorization")}
+                     "auth": self.headers.get("Authorization"),
+                     "client": self.client_address}
                 )
                 index = min(len(outer.requests) - 1, len(outer.script) - 1)
                 kind, value = outer.script[index]
                 if kind == "status":
-                    self.send_response(value)
-                    self.end_headers()
-                    self.wfile.write(b"scripted error")
+                    self._reply(value, b"scripted error", "text/plain")
                     return
                 payload = {
                     "choices": [{"message": {"content": value}}],
                     "usage": {"total_tokens": 7},
                 }
-                data = json.dumps(payload).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                self._reply(200, json.dumps(payload).encode(), "application/json")
 
             def log_message(self, *args):
                 pass
 
-        self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        # a thread per connection: a kept-alive connection does not hold up
+        # the next client or shutdown
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     def __enter__(self):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from hyposet.boolexpr import (
     ALL_PAIRS,
+    MAX_TOKENS,
     Const,
     Not,
     Op,
@@ -21,6 +22,7 @@ from hyposet.boolexpr import (
     serialize_expr,
     truth_table,
     validate_expr,
+    _tokenize,
 )
 from hyposet.errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
@@ -178,6 +180,50 @@ class TestParser:
 
     def test_expr_prefix_accepted(self):
         assert expr_key(parse_expr("EXPR: x AND y")) == "AND(x,y)"
+
+
+def _chain(n):
+    """An ``x AND x AND ...`` chain of exactly n tokens."""
+    return "NOT " * (1 - n % 2) + " AND ".join(["x"] * ((n + 1) // 2))
+
+
+def _parens(n):
+    """x inside nested parentheses, exactly n tokens."""
+    half = (n - 1) // 2
+    return "NOT " * (1 - n % 2) + "(" * half + "x" + ")" * half
+
+
+def _nots(n):
+    return "NOT " * (n - 1) + "x"
+
+
+class TestTokenLimit:
+    @pytest.mark.parametrize("build", [_chain, _parens, _nots])
+    def test_at_the_bound_and_one_past(self, build):
+        at, past = build(MAX_TOKENS), build(MAX_TOKENS + 1)
+        assert len(_tokenize(at)) == MAX_TOKENS
+        parse_expr(at)
+        with pytest.raises(ParseFailure) as err:
+            parse_expr(past)
+        assert str(MAX_TOKENS) in str(err.value)
+
+    @pytest.mark.parametrize("build", [_chain, _parens, _nots])
+    def test_task_records_a_parse_failure(self, build):
+        from hyposet.tasks import get_task
+
+        task = get_task("bool")
+        inst = generate_bool_instance("basic", 3)
+        at = task.evaluate_text(inst, "EXPR: " + build(MAX_TOKENS))
+        assert at.parse_error is None and at.canonical is not None
+        past = task.evaluate_text(inst, "EXPR: " + build(MAX_TOKENS + 1))
+        assert str(MAX_TOKENS) in past.parse_error
+
+    def test_long_chain_with_deep_recursion_is_a_parse_failure(self):
+        from hyposet.tasks import get_task
+
+        text = "EXPR: " + " AND ".join(["x"] * 334)  # 2,005 bytes
+        ev = get_task("bool").evaluate_text(generate_bool_instance("basic", 3), text)
+        assert ev.parse_error is not None and ev.canonical is None
 
 
 class TestSerialization:

@@ -199,6 +199,41 @@ class TestRun:
         assert saved["digest"] == SuiteConfig(**{k: v for k, v in config.items()}).digest()
 
 
+    def test_overlong_bool_emission_is_recorded(self, tmp_path):
+        script = tmp_path / "chain.txt"
+        script.write_text("EXPR: " + " AND ".join(["x"] * 334) + "\n")
+        out = tmp_path / "o"
+        assert run_cli(
+            "run", "--task", "bool", "--difficulty", "basic", "--count", "1",
+            "--sampler", "scripted", "--script", str(script), "--n", "1",
+            "--out", str(out), "--deterministic",
+        ) == 0
+        (log,) = (out / "logs").glob("*.jsonl")
+        lines = [json.loads(l) for l in log.read_text().splitlines()]
+        assert lines[1]["category"] == "parse_failure"
+        assert lines[-1]["type"] == "summary"
+        assert read_csv(out / "summary.csv")[0]["parse_failures"] == "1"
+
+    def test_exhausted_oracle_aborts_the_run_not_the_suite(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--task", "causal", "--difficulty", "1", "--count", "2",
+            "--sampler", "oracle", "--n", "50", "--out", str(out),
+            "--deterministic",
+        )
+        assert code == 3
+        assert read_csv(out / "summary.csv") == []
+        logs = sorted((out / "logs").glob("*.jsonl"))
+        assert len(logs) == 2
+        for log in logs:
+            lines = [json.loads(l) for l in log.read_text().splitlines()]
+            header, proposals, last = lines[0], lines[1:-1], lines[-1]
+            assert last["type"] == "abort" and not last["complete"]
+            assert "oracle exhausted" in last["error"]
+            assert len(proposals) == len(header["instance"]["admissible"]) < 50
+        assert "2 incomplete" in capsys.readouterr().out
+
+
 class TestReport:
     def test_report_shape(self, tmp_path):
         out = tmp_path / "o"

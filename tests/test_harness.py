@@ -247,6 +247,20 @@ class TestRunInstance:
         assert stored["c_count"] == recomputed.c_count
         assert stored["c_entropy_bits"] == recomputed.c_entropy_bits
 
+    def test_exhausted_oracle_is_an_abort(self, causal_setup, tmp_path):
+        task, inst = causal_setup
+        count = task.admissible_count(inst)
+        config = SamplerConfig(kind="oracle")
+        path = tmp_path / "run.jsonl"
+        log = run_instance(
+            task, inst, make_sampler(config, task, inst), config,
+            n_override=count + 1, log_path=path,
+        )
+        assert not log.complete and log.summary is None
+        assert len(log.records) == count
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last["type"] == "abort" and "oracle exhausted" in last["error"]
+
     def test_token_count_accumulates(self, causal_setup):
         task, inst = causal_setup
         text = next(iter(task.admissible_texts(inst)))
@@ -367,6 +381,26 @@ class TestSendChat:
         parsed = load_log(path)
         assert not parsed["complete"]
         assert len(parsed["proposals"]) == 1
+
+
+    def test_remote_run_reuses_one_connection(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "t")
+        task = get_task("causal")
+        inst = task.generate(seed=11, level="1")
+        texts = list(task.admissible_texts(inst))[:3]
+        script = [("content", texts[0]), ("status", 503)] + [
+            ("content", t) for t in texts[1:]
+        ]
+        with StubChatServer(script) as server:
+            config = SamplerConfig(
+                kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
+            )
+            sampler = RemoteSampler(config)
+            log = run_instance(task, inst, sampler, config, n_override=3)
+            sampler.close()
+        assert log.complete and log.summary.vr == 1.0
+        assert len(server.requests) == 4  # three proposals and one retry
+        assert len({r["client"] for r in server.requests}) == 1
 
 
 class TestDeriveSeed:
