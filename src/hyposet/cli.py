@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     ConstraintViolation,
     EnumerationLimit,
+    LogFormatError,
     ParseFailure,
     TransportFailure,
 )
@@ -345,9 +346,14 @@ def cmd_report(args) -> int:
         for f in os.listdir(log_dir)
         if f.endswith(".jsonl")
     )
-    loaded = []
+    loaded, skipped = [], []
     for path in paths:
-        log = load_log(path)
+        try:
+            log = load_log(path)
+        except LogFormatError as err:
+            print(f"warning: skipping {err}", file=sys.stderr)
+            skipped.append(f"- `{os.path.basename(path)}`: {err.reason}")
+            continue
         if log["complete"]:
             loaded.append(log)
     if not loaded:
@@ -429,6 +435,8 @@ def cmd_report(args) -> int:
         for sampler in samplers:
             row.append(aggregated[sampler].get((task, difficulty, metric), ""))
         lines.append("| " + " | ".join(row) + " |")
+    if skipped:
+        lines += ["", "## Skipped logs", "", *skipped]
     with open(os.path.join(out_dir, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -34,5 +34,14 @@ class SamplerExhausted(ValueError):
     more proposals than the admissible set holds; the run aborts."""
 
 
+class LogFormatError(ValueError):
+    """A run log that cannot be read back: a line that is not a JSON log
+    record, or no run header. ``reason`` is the message without the path."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.reason = reason
+
+
 class ConfigError(ValueError):
     """Sampler or suite configuration is unusable."""

@@ -8,27 +8,58 @@ remote endpoint is stateless, carrying the history inside the prompt.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
+import itertools
 import json
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-
-import requests
+from typing import TYPE_CHECKING
 
 from . import metrics
-from .errors import ConfigError, SamplerExhausted, TransportFailure
+from .errors import ConfigError, LogFormatError, SamplerExhausted, TransportFailure
 from .tasks import get_task
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_N_CAP = 100
 API_KEY_ENV = "HYPOSPACE_API_KEY"
+# the client errors a retry can cure: request timeout, rate limit
+RETRIED_4XX = frozenset({408, 429})
 
 
 def derive_seed(*parts) -> int:
     """Stable named sub-seed: hash of the joined parts."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class HistoryView(Sequence):
+    """Read-only view of the first ``length`` entries of an append-only
+    list: the emissions before one attempt, without copying them."""
+
+    __slots__ = ("_items", "_length")
+
+    def __init__(self, items: list[str], length: int):
+        if not 0 <= length <= len(items):
+            raise ValueError("a history view cannot reach past its list")
+        self._items = items
+        self._length = length
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._items[i] for i in range(self._length)[index])
+        return self._items[range(self._length)[index]]
+
+    def __iter__(self):
+        return itertools.islice(self._items, self._length)
 
 
 @dataclass(frozen=True)
@@ -39,7 +70,7 @@ class SamplerContext:
     template_id: str
     observations_text: str
     schema_text: str
-    history: tuple[str, ...]
+    history: Sequence[str]  # the attempt_index - 1 earlier emissions
     attempt_index: int  # 1-based
 
     def __post_init__(self):
@@ -47,15 +78,22 @@ class SamplerContext:
             raise ValueError("history length must be attempt_index - 1")
 
 
+@functools.lru_cache(maxsize=None)
+def _template(template_id: str) -> str:
+    """A prompt template's text, read once per process; unknown ids raise
+    ConfigError on every call."""
+    resource = importlib.resources.files("hyposet").joinpath(
+        "templates", f"{template_id}.txt"
+    )
+    if not resource.is_file():
+        raise ConfigError(f"unknown template id {template_id!r}")
+    return resource.read_text(encoding="utf-8")
+
+
 def render_prompt(context: SamplerContext) -> str:
     """Deterministic prompt: task description, observations, output schema,
     and the verbatim list of prior emissions."""
-    resource = importlib.resources.files("hyposet").joinpath(
-        "templates", f"{context.template_id}.txt"
-    )
-    if not resource.is_file():
-        raise ConfigError(f"unknown template id {context.template_id!r}")
-    template = resource.read_text(encoding="utf-8")
+    template = _template(context.template_id)
     if context.history:
         history = "\n".join(
             f"{i}. {text}" for i, text in enumerate(context.history, start=1)
@@ -109,10 +147,14 @@ def send_chat(
 ) -> tuple[str, dict]:
     """One chat-completions request; returns (content, usage).
 
-    Non-2xx responses and transport errors are retried with exponential
-    backoff up to ``max_attempts`` total tries, then raise TransportFailure.
-    With a ``session``, requests reuse its kept-alive connection.
+    Transport errors and 408, 429 and 5xx responses are retried with
+    exponential backoff up to ``max_attempts`` total tries, then raise
+    TransportFailure. Any other non-2xx response (a 4xx such as 401 or 404,
+    which a retry cannot fix) raises TransportFailure at once. With a
+    ``session``, requests reuse its kept-alive connection.
     """
+    import requests  # only remote sampling loads the HTTP client
+
     token = os.environ.get(config.api_key_env)
     if not token:
         raise ConfigError(
@@ -140,14 +182,17 @@ def send_chat(
         except requests.RequestException as err:
             last_error = f"transport error: {err}"
             continue
-        if 200 <= response.status_code < 300:
+        status = response.status_code
+        if 200 <= status < 300:
             try:
                 data = response.json()
                 content = data["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise TransportFailure(f"malformed completion body: {err}")
             return content, data.get("usage", {}) or {}
-        last_error = f"HTTP {response.status_code}: {response.text[:200]}"
+        last_error = f"HTTP {status}: {response.text[:200]}"
+        if 400 <= status < 500 and status not in RETRIED_4XX:
+            raise TransportFailure(f"not retried; {last_error}")
     raise TransportFailure(
         f"{config.max_attempts} attempts exhausted; last error: {last_error}"
     )
@@ -204,6 +249,8 @@ class RemoteSampler:
     (one kept-alive connection per run); usage counters accumulate."""
 
     def __init__(self, config: SamplerConfig):
+        import requests
+
         self._config = config
         self._session = requests.Session()
         self.total_tokens = 0
@@ -316,7 +363,7 @@ def run_instance(
                 template_id=task.template_id,
                 observations_text=observations_text,
                 schema_text=task.schema_text,
-                history=tuple(history),
+                history=HistoryView(history, index - 1),
                 attempt_index=index,
             )
             try:
@@ -325,7 +372,7 @@ def run_instance(
                 complete = False
                 abort_error = str(err)
                 break
-            evaluation = task.evaluate_text(instance, raw)
+            evaluation = scorer.evaluation_of(raw) or task.evaluate_text(instance, raw)
             record = metrics.make_record(index, raw, evaluation, scorer)
             records.append(record)
             history.append(raw)
@@ -465,28 +512,38 @@ def run_suite(
 
 
 def load_log(path) -> dict:
-    """Parse one JSONL run log into {header, proposals, summary, complete}."""
+    """Parse one JSONL run log into {header, proposals, summary, complete}.
+
+    A line that is not a JSON object with a ``type`` (a log cut off
+    mid-line, say) or a missing run header raises LogFormatError.
+    """
     header = None
     proposals = []
     summary = None
     complete = False
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if obj["type"] == "run_header":
+            try:
+                obj = json.loads(line)
+                kind = obj["type"]
+            except (ValueError, KeyError, TypeError):
+                raise LogFormatError(
+                    path, f"line {lineno} is not a JSON log record"
+                ) from None
+            if kind == "run_header":
                 header = obj
-            elif obj["type"] == "proposal":
+            elif kind == "proposal":
                 proposals.append(obj)
-            elif obj["type"] == "summary":
+            elif kind == "summary":
                 summary = obj
                 complete = bool(obj.get("complete", True))
-            elif obj["type"] == "abort":
+            elif kind == "abort":
                 complete = False
     if header is None:
-        raise ValueError(f"{path}: missing run header")
+        raise LogFormatError(path, "missing run header")
     return {
         "header": header,
         "proposals": proposals,
@@ -510,8 +567,9 @@ def rescore_log(path) -> tuple[dict, metrics.MetricsSummary]:
     task = get_task(log["header"]["task"])
     scorer = metrics.RunScorer(task.admissible_keys(instance))
     for prop in log["proposals"]:
-        evaluation = task.evaluate_text(instance, prop["raw"])
-        metrics.make_record(prop["index"], prop["raw"], evaluation, scorer)
+        raw = prop["raw"]
+        evaluation = scorer.evaluation_of(raw) or task.evaluate_text(instance, raw)
+        metrics.make_record(prop["index"], raw, evaluation, scorer)
     base = metrics.score_run(scorer)
     c_count, c_entropy = metrics.creativity_measures(scorer)
     return log["summary"], replace(base, c_count=c_count, c_entropy_bits=c_entropy)

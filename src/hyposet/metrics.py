@@ -110,7 +110,8 @@ class RunScorer:
         self.admissible_size = 0 if admissible_set is None else len(admissible_set)
         self._valid_keys: set[str] = set()  # comparison keys of valid proposals
         self._other_keys: set[str] = set()  # and of all other proposals
-        self._raw: set[str] = set()
+        # each raw text seen, with its evaluation (None when replayed)
+        self._raw: dict[str, TextEvaluation | None] = {}
         self._counts = dict.fromkeys(CATEGORIES, 0)
         self._valid = 0
         self._novel = 0
@@ -126,6 +127,12 @@ class RunScorer:
         for record in records:
             scorer.observe(record)
         return scorer
+
+    def evaluation_of(self, raw_text: str) -> TextEvaluation | None:
+        """The evaluation an earlier proposal with this exact raw text was
+        classified with, or None; evaluations are pure functions of the
+        text, so a run judges each distinct text once."""
+        return self._raw.get(raw_text)
 
     def is_novel(self, comparison_key: str, valid: bool = False) -> int:
         """1 iff no earlier valid proposal shares the comparison key and, for
@@ -164,10 +171,13 @@ class RunScorer:
             novel=novel,
         )
 
-    def observe(self, record: ProposalRecord) -> None:
-        """Fold one classified proposal into the running state."""
+    def observe(
+        self, record: ProposalRecord, evaluation: TextEvaluation | None = None
+    ) -> None:
+        """Fold one classified proposal, and the evaluation it was
+        classified with when known, into the running state."""
         (self._valid_keys if record.valid else self._other_keys).add(record_key(record))
-        self._raw.add(record.raw_text)
+        self._raw.setdefault(record.raw_text, evaluation)
         self._counts[record.category] += 1
         self._valid += record.valid
         self._novel += record.novel
@@ -243,7 +253,7 @@ def make_record(
     if not isinstance(earlier, RunScorer):
         return RunScorer.replay(earlier).classify(index, raw_text, evaluation)
     record = earlier.classify(index, raw_text, evaluation)
-    earlier.observe(record)
+    earlier.observe(record, evaluation)
     return record
 
 

@@ -8,9 +8,8 @@ JSON schema. The harness and CLI only ever talk to adapters.
 
 from __future__ import annotations
 
+import itertools
 import random
-
-import numpy as np
 
 from . import boolexpr, causal, voxel
 from .errors import ConstraintViolation, ParseFailure
@@ -149,19 +148,13 @@ class CausalTask:
         )
 
 
-# (cell above, cell below) pairs a gravity-respecting stack can hold
-_STACKED = frozenset({("/", "/"), ("0", "0"), ("0", "1"), ("1", "1")})
-
-
 class _LazyStackSet:
-    """len/contains view over the voxel admissible set; membership is a
+    """len/contains/iter view over the voxel admissible set; membership is a
     string check of the canonical key, without materializing any stack."""
 
     def __init__(self, instance):
         self._instance = instance
-        self._bottom = "/".join(
-            "".join(str(v) for v in row) for row in instance.projection
-        )
+        self._bottom = instance.projection_key
 
     def __len__(self):
         return self._instance.count
@@ -176,18 +169,18 @@ class _LazyStackSet:
         layers = key.split("|")
         if len(layers) != self._instance.k or layers[0] != self._bottom:
             return False
-        return all(
-            len(above) == len(below) and _STACKED.issuperset(zip(above, below))
-            for below, above in zip(layers, layers[1:])
-        )
+        return voxel.layers_settled(layers)
 
     def __iter__(self):
-        return (
-            voxel.canon_stack(s)
-            for s in voxel.enumerate_admissible_stacks(
-                self._instance.projection_array, self._instance.k, cap=None
-            )
-        )
+        return (key for _, key in _stack_texts(self._instance))
+
+
+def _stack_texts(instance):
+    """(emission text, canonical key) of every admissible stack, in the
+    order of ``voxel.enumerate_admissible_stacks``."""
+    columns = sum(map(sum, instance.projection))
+    for heights in itertools.product(range(1, instance.k + 1), repeat=columns):
+        yield voxel.texts_from_heights(instance.projection, instance.k, heights)
 
 
 class VoxelTask:
@@ -215,37 +208,43 @@ class VoxelTask:
         )
 
     def observations_text(self, instance) -> str:
-        proj = instance.projection_array
-        rows = "\n".join("".join(str(int(v)) for v in row) for row in proj)
+        proj = instance.projection
+        rows = instance.projection_key.replace("/", "\n")
         return (
-            f"Grid: {proj.shape[0]}x{proj.shape[1]}, height budget: {instance.k}\n"
+            f"Grid: {len(proj)}x{len(proj[0])}, height budget: {instance.k}\n"
             f"Top-down projection (1 = column occupied):\n{rows}"
         )
 
     def evaluate_text(self, instance, raw: str) -> TextEvaluation:
+        """Judged on the canonical key: shape, then gravity, then the bottom
+        layer against the projection (a settled stack projects to its
+        bottom layer)."""
         try:
             block = extract_marked_lines(raw, "LAYERS", multiline=True)
-            stack = voxel.parse_layers(block)
+            rows = voxel.parse_layer_rows(block)
         except ParseFailure as err:
             return TextEvaluation(parse_error=str(err))
-        canonical = voxel.canon_stack(stack)
-        proj = instance.projection_array
-        if stack.shape != (instance.k,) + proj.shape:
+        layers = ["/".join(layer) for layer in rows]
+        canonical = "|".join(layers)
+        proj = instance.projection
+        if (len(rows), len(rows[0]), len(rows[0][0])) != (
+            instance.k, len(proj), len(proj[0])
+        ):
             return TextEvaluation(
                 canonical=canonical,
                 constraint_error=(
-                    f"expected {instance.k} layers of {proj.shape[0]}x"
-                    f"{proj.shape[1]}, got {stack.shape[0]} of "
-                    f"{stack.shape[1]}x{stack.shape[2]}"
+                    f"expected {instance.k} layers of {len(proj)}x"
+                    f"{len(proj[0])}, got {len(rows)} of "
+                    f"{len(rows[0])}x{len(rows[0][0])}"
                 ),
             )
-        if not voxel.check_gravity(stack):
+        if not voxel.layers_settled(layers):
             return TextEvaluation(
                 canonical=canonical, constraint_error="floating voxel"
             )
         return TextEvaluation(
             canonical=canonical,
-            valid=bool((voxel.project(stack) == proj).all()),
+            valid=layers[0] == instance.projection_key,
         )
 
     def admissible_count(self, instance) -> int:
@@ -255,27 +254,18 @@ class VoxelTask:
         return _LazyStackSet(instance)
 
     def admissible_texts(self, instance):
-        return (
-            voxel.serialize_stack(s)
-            for s in voxel.enumerate_admissible_stacks(
-                instance.projection_array, instance.k, cap=None
-            )
-        )
+        return (text for text, _ in _stack_texts(instance))
 
     def sample_text(self, instance, rng: random.Random) -> str:
-        proj = instance.projection_array
-        heights = [
-            rng.randint(1, instance.k) for _ in voxel.occupied_columns(proj)
-        ]
-        return voxel.serialize_stack(
-            voxel.stack_from_heights(proj, instance.k, heights)
-        )
+        occupied = sum(map(sum, instance.projection))
+        heights = [rng.randint(1, instance.k) for _ in range(occupied)]
+        return voxel.texts_from_heights(instance.projection, instance.k, heights)[0]
 
     def to_json(self, instance) -> dict:
-        proj = instance.projection_array
+        proj = instance.projection
         return {
             "task": "voxel",
-            "m": int(proj.shape[0]),
+            "m": len(proj),
             "k": instance.k,
             "projection": [[int(v) for v in row] for row in proj],
             "count": instance.count,
@@ -285,9 +275,9 @@ class VoxelTask:
         }
 
     def from_json(self, data: dict):
-        proj = np.asarray(data["projection"], dtype=np.uint8)
+        proj = tuple(tuple(int(v) for v in row) for row in data["projection"])
         return voxel.VoxelInstance(
-            projection=tuple(tuple(int(v) for v in row) for row in proj),
+            projection=proj,
             k=int(data["k"]),
             count=voxel.count_admissible(proj, int(data["k"])),
             difficulty=data.get("difficulty", ""),

@@ -5,10 +5,14 @@ Gravity means every column is a bottom-anchored prefix, so a valid stack is
 fully described by its per-column height; a top-down projection with ``q``
 occupied cells therefore admits exactly ``k**q`` stacks at height budget k.
 Generators produce square R = C = M grids; the checkers accept any R x C.
+The task adapter judges and emits stacks as canonical strings (see
+``layers_settled`` and ``texts_from_heights``); the tensor functions are
+their reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -126,12 +130,43 @@ def serialize_stack(stack) -> str:
     return "LAYERS:\n" + "\n\n".join(blocks)
 
 
-def parse_layers(text: str) -> np.ndarray:
-    """Parse the ``LAYERS:`` schema back into a (K, R, C) tensor.
+# --- canonical strings: layers joined by "|", rows by "/", bottom first ---------
+
+# (cell above, cell below) pairs a gravity-respecting stack can hold
+_STACKED = frozenset({("/", "/"), ("0", "0"), ("0", "1"), ("1", "1")})
+
+
+def layers_settled(layers) -> bool:
+    """True iff each layer of ``layers`` (``/``-joined 0/1 rows, bottom
+    first) has the shape of the one below and no 1 over a 0."""
+    return all(
+        len(above) == len(below) and _STACKED.issuperset(zip(above, below))
+        for below, above in zip(layers, layers[1:])
+    )
+
+
+def texts_from_heights(projection, k: int, heights) -> tuple[str, str]:
+    """(emission text, canonical key) of the stack whose occupied columns,
+    in row-major order, have the given heights; the text equals
+    ``serialize_stack(stack_from_heights(projection, k, heights))``."""
+    it = iter(heights)
+    grid = [[next(it, 0) if cell else 0 for cell in row] for row in projection]
+    layers = [
+        "/".join("".join("1" if h > level else "0" for h in row) for row in grid)
+        for level in range(k)
+    ]
+    text = "LAYERS:\n" + "\n\n".join(layer.replace("/", "\n") for layer in layers)
+    return text, "|".join(layers)
+
+
+def parse_layer_rows(text: str) -> tuple[tuple[str, ...], ...]:
+    """Parse the ``LAYERS:`` schema into K layers of R row strings of C
+    ``0``/``1`` characters each, bottom layer first.
 
     Collects 0/1 rows after the marker; a blank line starts the next layer;
-    the first other line ends the block. Ragged rows or layers raise
-    ParseFailure with the offending line number.
+    the first other line ends the block. A row that is not 0/1 before any
+    layer raises ParseFailure with its line number; ragged rows or layers
+    raise ParseFailure.
     """
     lines = text.splitlines()
     start = None
@@ -163,6 +198,13 @@ def parse_layers(text: str) -> np.ndarray:
     for layer in layers:
         if len(layer) != rows or any(len(r) != cols for r in layer):
             raise ParseFailure("ragged layer blocks")
+    return tuple(map(tuple, layers))
+
+
+def parse_layers(text: str) -> np.ndarray:
+    """Parse the ``LAYERS:`` schema back into a (K, R, C) tensor; the
+    grammar and its errors are those of ``parse_layer_rows``."""
+    layers = parse_layer_rows(text)
     arr = np.asarray(
         [[[int(ch) for ch in row] for row in layer] for layer in layers],
         dtype=np.uint8,
@@ -183,6 +225,12 @@ class VoxelInstance:
     instance_id: str = ""
     seed: int | None = None
     enum_cap: int = DEFAULT_ENUM_CAP
+
+    @functools.cached_property
+    def projection_key(self) -> str:
+        """The projection as one layer of a canonical key: under gravity, a
+        stack's top-down projection is its bottom layer."""
+        return "/".join("".join(str(int(v)) for v in row) for row in self.projection)
 
     @property
     def projection_array(self) -> np.ndarray:

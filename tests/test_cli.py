@@ -281,6 +281,37 @@ class TestReport:
         empty.mkdir()
         assert run_cli("report", str(empty)) == 3
 
+    def test_corrupt_logs_are_skipped_and_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run_cli(
+            "run", "--task", "causal", "--difficulty", "1", "--count", "3",
+            "--seed", "2", "--sampler", "oracle", "--out", str(out),
+            "--deterministic",
+        )
+        logs = sorted((out / "logs").iterdir())
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "clean")) == 0
+        assert "Skipped" not in (out / "clean" / "report.md").read_text()
+        # one log cut off in the middle of its third line, one without a header
+        data = logs[0].read_bytes()
+        cut = data.index(b"\n", data.index(b"\n") + 1) + 20
+        logs[0].write_bytes(data[:cut])
+        logs[1].write_text(logs[1].read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0
+        err = capsys.readouterr().err
+        assert f"{logs[0]}: line 3 is not a JSON log record" in err
+        assert f"{logs[1]}: missing run header" in err
+        report = (out / "report" / "report.md").read_text()
+        assert report.endswith(
+            "## Skipped logs\n\n"
+            f"- `{logs[0].name}`: line 3 is not a JSON log record\n"
+            f"- `{logs[1].name}`: missing run header\n"
+        )
+        clean = (out / "clean" / "report.md").read_text()
+        assert report.startswith(clean.split("| causal |")[0])
+        logs[2].write_bytes(b"")
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "r2")) == 3
+
 
 class TestExitCodes:
     def test_no_command_usage_error(self):

@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.resources
 import json
 
 import pytest
 
+from hyposet import harness
 from hyposet.errors import ConfigError, TransportFailure
 from hyposet.harness import (
     API_KEY_ENV,
+    HistoryView,
     RemoteSampler,
     SamplerConfig,
     SamplerContext,
@@ -45,6 +48,31 @@ class TestContext:
         task, inst = causal_setup
         with pytest.raises(ValueError):
             context_for(task, inst, history=("a",), attempt=1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(
+                context_for(task, inst), history=HistoryView(["a", "b"], 1)
+            )
+
+    def test_history_view_reads_a_fixed_prefix(self):
+        items = ["a", "b", "c"]
+        view = HistoryView(items, 2)
+        items.append("d")
+        assert len(view) == 2 and list(view) == ["a", "b"]
+        assert (view[0], view[-1]) == ("a", "b")
+        assert (view[1:], view[::-1]) == (("b",), ("b", "a"))
+        with pytest.raises(IndexError):
+            view[2]
+        assert "b" in view and "c" not in view
+        with pytest.raises(ValueError):
+            HistoryView(items, 5)
+
+    def test_prompt_over_a_view_equals_the_prompt_over_a_copy(self, causal_setup):
+        task, inst = causal_setup
+        items = ["EDGES: A>B", "garbage", "EDGES: none"]
+        for length in range(len(items) + 1):
+            copied = context_for(task, inst, history=items[:length])
+            viewed = dataclasses.replace(copied, history=HistoryView(items, length))
+            assert render_prompt(viewed) == render_prompt(copied)
 
 
 class TestRenderPrompt:
@@ -75,6 +103,19 @@ class TestRenderPrompt:
         ctx = dataclasses.replace(context_for(task, inst), template_id="nope")
         with pytest.raises(ConfigError):
             render_prompt(ctx)
+        with pytest.raises(ConfigError):
+            render_prompt(ctx)
+
+    def test_template_read_once(self, causal_setup, monkeypatch):
+        task, inst = causal_setup
+        harness._template.cache_clear()
+        reads = []
+        files = importlib.resources.files
+        monkeypatch.setattr(
+            importlib.resources, "files", lambda pkg: reads.append(pkg) or files(pkg)
+        )
+        prompts = {render_prompt(context_for(task, inst)) for _ in range(3)}
+        assert len(prompts) == 1 and len(reads) == 1
 
     def test_no_leak_of_admissible_or_latent(self, causal_setup):
         task, inst = causal_setup
@@ -343,6 +384,26 @@ class TestSendChat:
             content, _ = send_chat(config, "p")
             assert content == "recovered"
             assert len(server.requests) == 2  # exactly one retry
+
+    def test_retry_on_408(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "t")
+        with StubChatServer([("status", 408), ("content", "recovered")]) as server:
+            config = SamplerConfig(
+                kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
+            )
+            assert send_chat(config, "p")[0] == "recovered"
+            assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_error_fails_at_once(self, monkeypatch, status):
+        monkeypatch.setenv(API_KEY_ENV, "t")
+        with StubChatServer([("status", status), ("content", "never")]) as server:
+            config = SamplerConfig(
+                kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
+            )
+            with pytest.raises(TransportFailure, match=f"HTTP {status}"):
+                send_chat(config, "p")
+            assert len(server.requests) == 1
 
     def test_exhausted_retries(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "t")

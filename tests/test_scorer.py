@@ -1,6 +1,7 @@
 """RunScorer against the reference scans in ``naive_scoring``, the settled
-novelty rule, the incremental entropy series, and the string-level voxel
-membership test."""
+novelty rule, the incremental entropy series, the once-per-text judging of a
+run, and the string-level voxel membership test, judge and emitter against
+the tensor functions."""
 
 import itertools
 import random
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from hyposet import boolexpr, harness, metrics, voxel
+from hyposet.errors import ParseFailure
 from hyposet.metrics import RunScorer, TextEvaluation, make_record, score_run
-from hyposet.tasks import get_task
+from hyposet.tasks import extract_marked_lines, get_task
 
 from naive_scoring import naive_creativity, naive_run, naive_summary
 
@@ -274,3 +276,198 @@ class TestRunPath:
         assert log.summary.failure_counts == expected.failure_counts
         stored, rescored = harness.rescore_log(path)
         assert stored["rr_at_k"] == list(rescored.rr_at_k) == list(expected.rr_at_k)
+
+    def test_each_distinct_raw_text_is_judged_once(self, tmp_path, monkeypatch):
+        task = get_task("voxel")
+        inst = task.generate(seed=4, level="2")
+        texts = list(task.admissible_texts(inst))
+        script = [
+            texts[0], texts[1], texts[0], "```\n" + texts[0] + "\n```",
+            "no stack here", texts[2], "no stack here", texts[1], texts[0],
+        ]
+        judge = task.evaluate_text
+        calls = []
+
+        def counting(instance, raw):
+            calls.append(raw)
+            return judge(instance, raw)
+
+        monkeypatch.setattr(task, "evaluate_text", counting)
+        config = harness.SamplerConfig(kind="scripted", script=tuple(script))
+        path = tmp_path / "run.jsonl"
+        log = harness.run_instance(
+            task, inst, harness.make_sampler(config, task, inst), config,
+            log_path=path, n_override=2 * len(script), deterministic=True,
+        )
+        assert sorted(calls) == sorted(set(script))
+        unmemoized = RunScorer(task.admissible_keys(inst))
+        expected = [
+            make_record(index, raw, judge(inst, raw), unmemoized)
+            for index, raw in enumerate(script + script, start=1)
+        ]
+        assert list(log.records) == expected
+        assert log.summary.failure_counts == score_run(unmemoized).failure_counts
+        calls.clear()
+        stored, rescored = harness.rescore_log(path)
+        assert sorted(calls) == sorted(set(script))
+        assert stored["failure_counts"] == rescored.failure_counts
+
+
+# --- voxel string judge ---------------------------------------------------------
+
+
+def reference_evaluation(instance, raw):
+    """The voxel judge rebuilt from the tensor functions."""
+    try:
+        block = extract_marked_lines(raw, "LAYERS", multiline=True)
+        stack = voxel.parse_layers(block)
+    except ParseFailure as err:
+        return TextEvaluation(parse_error=str(err))
+    canonical = voxel.canon_stack(stack)
+    proj = np.asarray(instance.projection, dtype=np.uint8)
+    if stack.shape != (instance.k,) + proj.shape:
+        return TextEvaluation(
+            canonical=canonical,
+            constraint_error=(
+                f"expected {instance.k} layers of {proj.shape[0]}x{proj.shape[1]}, "
+                f"got {stack.shape[0]} of {stack.shape[1]}x{stack.shape[2]}"
+            ),
+        )
+    if not voxel.check_gravity(stack):
+        return TextEvaluation(canonical=canonical, constraint_error="floating voxel")
+    return TextEvaluation(canonical=canonical, valid=voxel.validate_stack(stack, proj))
+
+
+def dressed(text, style):
+    if style == "fenced":
+        return "```\n" + text + "\n```"
+    if style == "chatty":
+        return "Here is one stack.\n" + text + "\nIs that what you meant?"
+    return text
+
+
+class TestVoxelStringJudge:
+    def test_agrees_with_the_tensor_reference_on_every_small_stack(self):
+        task = get_task("voxel")
+        rng = random.Random(36)
+        verdicts = set()
+        for rows, cols in SHAPES:
+            for k in (1, 2, 3):
+                if k * rows * cols > 9:
+                    continue
+                for count, stack in enumerate(every_stack(rows, cols, k)):
+                    own = voxel.project(stack).tolist()
+                    other = rng.choice([own, np.ones((rows, cols), int).tolist()])
+                    instances = [
+                        voxel_instance(own, k),
+                        voxel_instance(own, k % 3 + 1),
+                        voxel_instance(other, k),
+                        voxel_instance(np.ones((cols, rows + 1), int).tolist(), k),
+                    ]
+                    style = ("plain", "fenced", "chatty")[count % 3]
+                    raw = dressed(voxel.serialize_stack(stack), style)
+                    for instance in instances:
+                        got = task.evaluate_text(instance, raw)
+                        assert got == reference_evaluation(instance, raw), raw
+                        verdicts.add((got.valid, got.constraint_error is None))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "LAYERS:\n11\n10\n\n11\n00",  # a layer missing
+            "LAYERS:\n11\n10\n\n11\n00\n\n10\n00\n\n00\n00",  # a layer too many
+            "LAYERS:\n11\n10\n\n1\n00\n\n10\n00",  # ragged rows
+            "LAYERS:\n11\n10\n\n11\n00\n10\n\n10\n00",  # ragged layers
+            "LAYERS:\n11\n10\n\n01\n00\n\n10\n01",  # floating voxel
+            "LAYERS:\n11\n10\n\n11\n00\n\n00\n10",  # a voxel above a gap
+            "LAYERS:\n11\n11\n\n11\n00\n\n10\n00",  # wrong projection
+            "LAYERS:\n110\n100\n\n110\n000\n\n100\n000",  # a stray column
+            "LAYERS:\n11\n10\n00\n\n11\n00\n00\n\n10\n00\n00",  # a stray row
+            "```\nLAYERS:\n11\n10\n\n11\n00\n\n10\n00\n```",  # fenced
+            "Sure.\nLAYERS:\n11\n10\n\n11\n00\n\n10\n00\nDone, 3 layers.",  # chatty
+            "LAYERS: \n 11 \n10\n\n\n\n11\n00\n\n10\n00\n\n",  # loose spacing
+            "LAYERS:\n11\n10\n\n11\n00\n\n10\n00\nLAYERS:\n11\n11",  # two blocks
+            "LAYERS:\n12\n10\n\n11\n00\n\n10\n00",  # a cell that is not 0/1
+            "LAYERS:\n\n\n",  # no rows
+            "LAYERS:",
+            "the stack is 11/10|11/00|10/00",  # no marker
+            "",
+        ],
+    )
+    def test_corrupted_emissions_match_the_reference(self, raw):
+        instance = voxel_instance([[1, 1], [1, 0]], 3)
+        assert get_task("voxel").evaluate_text(instance, raw) == (
+            reference_evaluation(instance, raw)
+        )
+
+    def test_fuzzed_emissions_match_the_reference(self):
+        task = get_task("voxel")
+        instance = task.generate(seed=5, level="1", grid=4, height=3, occupied=6)
+        texts = list(task.admissible_texts(instance))
+        rng = random.Random(37)
+        kinds = set()
+        for _ in range(1500):
+            text = rng.choice(texts)
+            op = rng.randrange(6)
+            if op == 4:  # drop or repeat a layer
+                blocks = text.split("\n\n")
+                at = rng.randrange(1, len(blocks))
+                blocks[at:at + 1] = [] if rng.random() < 0.5 else [blocks[at]] * 2
+                text = "\n\n".join(blocks)
+            lines = text.split("\n")
+            at = rng.randrange(1, len(lines))
+            if op == 0 and lines[at]:  # flip a cell
+                col = rng.randrange(len(lines[at]))
+                cell = "1" if lines[at][col] == "0" else "0"
+                lines[at] = lines[at][:col] + cell + lines[at][col + 1:]
+            elif op == 1:  # drop a line
+                del lines[at]
+            elif op == 2:  # repeat a line
+                lines.insert(at, lines[at])
+            elif op == 3:  # swap two lines, the marker included
+                other = rng.randrange(len(lines))
+                lines[at], lines[other] = lines[other], lines[at]
+            raw = dressed("\n".join(lines), rng.choice(("plain", "fenced", "chatty")))
+            got = task.evaluate_text(instance, raw)
+            assert got == reference_evaluation(instance, raw), raw
+            kinds.add(
+                "parse" if got.parse_error else
+                got.constraint_error[:8] if got.constraint_error else got.valid
+            )
+        assert kinds == {"parse", "expected", "floating", True, False}
+
+
+class TestHeightsToText:
+    def test_matches_the_tensor_serializers(self):
+        checked = 0
+        for rows, cols in SHAPES:
+            for bits in itertools.product((0, 1), repeat=rows * cols):
+                projection = np.asarray(bits, dtype=np.uint8).reshape(rows, cols)
+                cells = tuple(map(tuple, projection.tolist()))
+                for k in (1, 2, 3):
+                    for heights in itertools.product(range(k + 2), repeat=sum(bits)):
+                        stack = voxel.stack_from_heights(projection, k, heights)
+                        assert voxel.texts_from_heights(cells, k, heights) == (
+                            voxel.serialize_stack(stack), voxel.canon_stack(stack)
+                        )
+                        checked += 1
+        assert checked > 1000
+
+    def test_admissible_walks_and_draws_match_the_tensor_path(self):
+        task = get_task("voxel")
+        instance = task.generate(seed=6, level="1", grid=3, height=3, occupied=4)
+        proj, k = instance.projection_array, instance.k
+        stacks = list(voxel.enumerate_admissible_stacks(proj, k))
+        assert list(task.admissible_texts(instance)) == [
+            voxel.serialize_stack(s) for s in stacks
+        ]
+        assert list(task.admissible_keys(instance)) == [
+            voxel.canon_stack(s) for s in stacks
+        ]
+        rng, reference = random.Random(8), random.Random(8)
+        for _ in range(50):
+            heights = [reference.randint(1, k) for _ in voxel.occupied_columns(proj)]
+            assert task.sample_text(instance, rng) == voxel.serialize_stack(
+                voxel.stack_from_heights(proj, k, heights)
+            )
