@@ -4,13 +4,17 @@ Nodes are indexed 0..n-1 and carry fixed letter labels A, B, C, ...  An
 observation records which nodes reacted to a single-node perturbation; a
 candidate graph explains the data iff its descendant sets reproduce every
 observed reaction vector exactly.
+
+Graphs are judged through descendant bitmasks: ``reach_masks`` gives each
+node's descendant set as an int, once per graph, and acyclicity, forward
+effects, validation and the enumerator's pruning bounds all read those masks.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
@@ -32,30 +36,29 @@ def label_index(label: str) -> int:
     return ord(label) - ord("A")
 
 
-def _is_acyclic(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    indeg = [0] * n
+def reach_masks(n: int, edges) -> list[int]:
+    """Descendant bitmask of every node: bit j of ``masks[i]`` is set iff a
+    path of one or more edges leads from i to j. A node on a cycle reaches
+    itself. Warshall's closure over int bitsets: n^2 steps on n-bit ints."""
+    masks = [0] * n
     for i, j in edges:
-        children[i].append(j)
-        indeg[j] += 1
-    stack = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    return seen == n
+        masks[i] |= 1 << j
+    for k in range(n):
+        bit, through = 1 << k, masks[k]
+        for i in range(n):
+            if masks[i] & bit:
+                masks[i] |= through
+    return masks
 
 
 @dataclass(frozen=True)
 class Dag:
-    """Labeled directed acyclic graph on nodes 0..n-1."""
+    """Labeled directed acyclic graph on nodes 0..n-1; ``reach`` holds its
+    descendant bitmasks (see ``reach_masks``)."""
 
     n: int
     edges: frozenset[tuple[int, int]]
+    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -64,8 +67,10 @@ class Dag:
                 raise ConstraintViolation(f"edge ({i},{j}) outside 0..{self.n - 1}")
             if i == j:
                 raise ConstraintViolation(f"self-loop on node {node_label(i)}")
-        if not _is_acyclic(self.n, self.edges):
+        reach = tuple(reach_masks(self.n, self.edges))
+        if any(mask >> i & 1 for i, mask in enumerate(reach)):
             raise ConstraintViolation("edge set contains a cycle")
+        object.__setattr__(self, "reach", reach)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,7 @@ class InterventionObservation:
 
     source: int
     effect: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "effect", tuple(int(b) for b in self.effect))
@@ -84,25 +90,15 @@ class InterventionObservation:
             raise ValueError("effect entries must be 0/1")
         if self.effect[self.source] != 0:
             raise ValueError("effect at the intervened node must be 0")
+        mask = sum(b << j for j, b in enumerate(self.effect))
+        object.__setattr__(self, "mask", mask)
 
 
 def descendants(dag: Dag, node: int) -> set[int]:
     """Transitive reachability set of ``node``, excluding the node itself."""
     if not 0 <= node < dag.n:
         raise ValueError(f"node {node} out of range 0..{dag.n - 1}")
-    children: dict[int, list[int]] = {i: [] for i in range(dag.n)}
-    for i, j in dag.edges:
-        children[i].append(j)
-    out: set[int] = set()
-    stack = list(children[node])
-    while stack:
-        u = stack.pop()
-        if u in out:
-            continue
-        out.add(u)
-        stack.extend(children[u])
-    out.discard(node)
-    return out
+    return {j for j in range(dag.n) if dag.reach[node] >> j & 1}
 
 
 def forward_effect(dag: Dag, node: int) -> tuple[int, ...]:
@@ -118,7 +114,7 @@ def validate_dag(dag: Dag, observations: list[InterventionObservation] | tuple) 
             raise ValueError(
                 f"effect length {len(obs.effect)} does not match n={dag.n}"
             )
-        if forward_effect(dag, obs.source) != obs.effect:
+        if dag.reach[obs.source] != obs.mask:
             return False
     return True
 
@@ -204,75 +200,59 @@ def enumerate_admissible_dags(
         if len(obs.effect) != n:
             raise ValueError("observation effect length does not match n")
 
-    # Reaction target sets per observed source; conflicting repeats are
+    # Reaction mask per observed source; conflicting repeats are
     # unsatisfiable outright.
-    targets: dict[int, frozenset[int]] = {}
+    targets: dict[int, int] = {}
     for obs in observations:
-        t = frozenset(j for j, bit in enumerate(obs.effect) if bit)
-        if obs.source in targets and targets[obs.source] != t:
+        if targets.setdefault(obs.source, obs.mask) != obs.mask:
             return []
-        targets[obs.source] = t
 
     all_edges = [(i, j) for i in range(n) for j in range(n) if i != j]
     forbidden = {
-        (i, j) for (i, j) in all_edges if i in targets and j not in targets[i]
+        (i, j) for (i, j) in all_edges if i in targets and not targets[i] >> j & 1
     }
     required: set[tuple[int, int]] = set()
-    for s, tset in targets.items():
-        for j in tset:
+    for s, tmask in targets.items():
+        members = [j for j in range(n) if tmask >> j & 1]
+        for j in members:
             # j must be a direct child of s when no other member of the
             # reaction set could possibly reach it.
             via_possible = any(
-                t != j and (t not in targets or j in targets[t]) for t in tset
+                t != j and (t not in targets or targets[t] >> j & 1) for t in members
             )
             if not via_possible:
                 required.add((s, j))
     if required & forbidden:
         return []
-    if not _is_acyclic(n, frozenset(required)):
+    low = reach_masks(n, required)
+    if any(low[i] >> i & 1 for i in range(n)):
         return []
 
     free = sorted(e for e in all_edges if e not in forbidden and e not in required)
-    observed = sorted(targets)
-
-    def reach(edge_set, src):
-        children: dict[int, list[int]] = {i: [] for i in range(n)}
-        for i, j in edge_set:
-            children[i].append(j)
-        out: set[int] = set()
-        stack = list(children[src])
-        while stack:
-            u = stack.pop()
-            if u in out:
-                continue
-            out.add(u)
-            stack.extend(children[u])
-        out.discard(src)
-        return out
-
     results: list[Dag] = []
 
-    def dfs(idx: int, chosen: set[tuple[int, int]]):
-        undecided = free[idx:]
-        for s in observed:
-            if not reach(chosen, s) <= targets[s]:
-                return
-            if not targets[s] <= reach(list(chosen) + undecided, s):
+    # ``low`` is the closure of the included edges, ``high`` that of the
+    # included plus the undecided ones: every completion reaches at least
+    # ``low`` and at most ``high``.
+    def dfs(idx: int, chosen: list, low: list[int], high: list[int]):
+        for s, tmask in targets.items():
+            if low[s] & ~tmask or tmask & ~high[s]:
                 return
         if idx == len(free):
             dag = Dag(n, frozenset(chosen))
             if validate_dag(dag, observations):
                 results.append(dag)
             return
-        edge = free[idx]
-        dfs(idx + 1, chosen)
-        u, v = edge
-        if u not in reach(chosen, v):
-            chosen.add(edge)
-            dfs(idx + 1, chosen)
-            chosen.discard(edge)
+        u, v = free[idx]
+        dfs(idx + 1, chosen, low, reach_masks(n, chosen + free[idx + 1:]))
+        if not low[v] >> u & 1:  # u>v closes no cycle
+            gained = 1 << v | low[v]
+            grown = [
+                m | gained if a == u or m >> u & 1 else m for a, m in enumerate(low)
+            ]
+            dfs(idx + 1, chosen + [(u, v)], grown, high)
 
-    dfs(0, set(required))
+    dfs(0, sorted(required), low, reach_masks(n, [*required, *free]))
     return sorted(results, key=canon_dag)
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import metrics
 from .errors import (
@@ -170,21 +170,17 @@ def _read_script(path) -> list[str]:
 
 
 def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
+    """The sampler section as a SamplerConfig; an unknown key is a ConfigError.
+    The environment variable holding the auth token is not configurable."""
     data = dict(cfg.sampler)
     kind = data.pop("kind", "oracle")
-    kind = _SAMPLER_ALIASES.get(kind, kind)
-    script = data.pop("script", None)
-    return SamplerConfig(
-        kind=kind,
-        seed=data.pop("seed", None),
-        script=tuple(script) if script is not None else None,
-        endpoint=data.pop("endpoint", None),
-        model=data.pop("model", None),
-        temperature=data.pop("temperature", None),
-        max_tokens=data.pop("max_tokens", None),
-        max_attempts=data.pop("max_attempts", 3),
-        backoff=data.pop("backoff", 0.5),
-    )
+    known = {f.name for f in fields(SamplerConfig)} - {"api_key_env"}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown sampler config key {key!r}")
+    if data.get("script") is not None:
+        data["script"] = tuple(data["script"])
+    return SamplerConfig(kind=_SAMPLER_ALIASES.get(kind, kind), **data)
 
 
 def _dump_json(path, obj):
@@ -301,6 +297,8 @@ def _entropy_rows(instance_id, patterns) -> list[dict]:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     sampler_config = _sampler_config(cfg)
+    if sampler_config.kind == "remote":
+        sampler_config.remote_token()  # fail before anything is written
     log_dir = os.path.join(cfg.out, "logs")
     os.makedirs(log_dir, exist_ok=True)
     _dump_json(
@@ -351,11 +349,16 @@ def cmd_report(args) -> int:
         try:
             log = load_log(path)
         except LogFormatError as err:
-            print(f"warning: skipping {err}", file=sys.stderr)
-            skipped.append(f"- `{os.path.basename(path)}`: {err.reason}")
-            continue
-        if log["complete"]:
-            loaded.append(log)
+            reason = err.reason
+        else:
+            if log["complete"]:
+                loaded.append(log)
+                continue
+            reason = "no summary line"
+            if log["abort"] is not None:
+                reason = f"aborted: {log['abort']}"
+        print(f"warning: skipping {path}: {reason}", file=sys.stderr)
+        skipped.append(f"- `{os.path.basename(path)}`: {reason}")
     if not loaded:
         print("error: no complete run logs found", file=sys.stderr)
         return 3

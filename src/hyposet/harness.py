@@ -141,6 +141,18 @@ class SamplerConfig:
     def label(self) -> str:
         return f"{self.kind}:{self.digest()}"
 
+    def remote_token(self) -> str:
+        """The auth token for remote sampling, read from the environment; a
+        missing token or endpoint raises ConfigError."""
+        token = os.environ.get(self.api_key_env)
+        if not token:
+            raise ConfigError(
+                f"remote sampling needs an auth token in ${self.api_key_env}"
+            )
+        if not self.endpoint:
+            raise ConfigError("remote sampling needs an endpoint URL")
+        return token
+
 
 def send_chat(
     config: SamplerConfig, prompt: str, session: requests.Session | None = None
@@ -155,13 +167,7 @@ def send_chat(
     """
     import requests  # only remote sampling loads the HTTP client
 
-    token = os.environ.get(config.api_key_env)
-    if not token:
-        raise ConfigError(
-            f"remote sampling needs an auth token in ${config.api_key_env}"
-        )
-    if not config.endpoint:
-        raise ConfigError("remote sampling needs an endpoint URL")
+    token = config.remote_token()
     payload: dict = {
         "model": config.model or "",
         "messages": [{"role": "user", "content": prompt}],
@@ -512,7 +518,8 @@ def run_suite(
 
 
 def load_log(path) -> dict:
-    """Parse one JSONL run log into {header, proposals, summary, complete}.
+    """Parse one JSONL run log into {header, proposals, summary, complete,
+    abort}; ``abort`` is the error of an ``abort`` line, else None.
 
     A line that is not a JSON object with a ``type`` (a log cut off
     mid-line, say) or a missing run header raises LogFormatError.
@@ -520,6 +527,7 @@ def load_log(path) -> dict:
     header = None
     proposals = []
     summary = None
+    abort = None
     complete = False
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -542,6 +550,7 @@ def load_log(path) -> dict:
                 complete = bool(obj.get("complete", True))
             elif kind == "abort":
                 complete = False
+                abort = obj.get("error", "")
     if header is None:
         raise LogFormatError(path, "missing run header")
     return {
@@ -549,6 +558,7 @@ def load_log(path) -> dict:
         "proposals": proposals,
         "summary": summary,
         "complete": complete and summary is not None,
+        "abort": abort,
     }
 
 

@@ -16,16 +16,64 @@ from hyposet.causal import (
     generate_causal_instance,
     parse_edges,
     random_dag,
+    reach_masks,
     serialize_dag,
     validate_dag,
 )
 from hyposet.errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
-from bruteforce import brute_admissible_dag_canons
+from bruteforce import _bfs_reach, _kahn_acyclic, brute_admissible_dag_canons
 
 
 def dag(n, *edges):
     return Dag(n, frozenset(edges))
+
+
+def random_digraphs(count, seed):
+    """Random digraphs on 1..6 nodes at edge densities from empty to full,
+    self-loops now and then: cyclic and acyclic ones alike."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        p = rng.random()
+        edges = {
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < (p if i != j else p / 20)
+        }
+        yield n, frozenset(edges)
+
+
+class TestReachMasks:
+    def test_chain(self):
+        assert reach_masks(3, [(0, 1), (1, 2)]) == [0b110, 0b100, 0]
+
+    def test_node_on_a_cycle_reaches_itself(self):
+        assert reach_masks(3, [(0, 1), (1, 0), (1, 2)]) == [0b111, 0b111, 0]
+
+    def test_dag_raises_iff_kahn_finds_a_cycle(self):
+        kinds = set()
+        for n, edges in random_digraphs(3000, seed=1):
+            acyclic = _kahn_acyclic(n, edges)
+            kinds.add(acyclic)
+            if acyclic:
+                Dag(n, edges)
+            else:
+                with pytest.raises(ConstraintViolation):
+                    Dag(n, edges)
+        assert kinds == {True, False}
+
+    def test_descendants_match_bfs(self):
+        checked = 0
+        for n, edges in random_digraphs(3000, seed=2):
+            if not _kahn_acyclic(n, edges):
+                continue
+            d = Dag(n, edges)
+            for node in range(n):
+                assert descendants(d, node) == _bfs_reach(n, edges, node)
+            checked += 1
+        assert checked > 500
 
 
 class TestDescendants:
@@ -123,14 +171,38 @@ class TestEnumerate:
         ]
         assert enumerate_admissible_dags(obs, 2) == []
 
+    # every (n, m) with n <= 4, each at two or three seeds
+    SIZES = [(n, m) for n in range(1, 5) for m in range(1, n + 1)]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice([2, 3, 4])
-        inst = generate_causal_instance(n, rng.randint(1, n), seed)
-        assert set(inst.admissible) == brute_admissible_dag_canons(
-            inst.observations, n
+        n, m = self.SIZES[seed % len(self.SIZES)]
+        inst = generate_causal_instance(n, m, seed)
+        assert list(inst.admissible) == sorted(
+            brute_admissible_dag_canons(inst.observations, n)
         )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fully_probed_count_is_closed_form(self, n, seed):
+        # All n sources probed: the observations give the transitive closure
+        # TC, the transitive reduction TR is unique, and the admissible set is
+        # {TR + S : S a subset of TC - TR}.
+        inst = generate_causal_instance(n, n, seed)
+        tc = {
+            (o.source, j) for o in inst.observations for j in range(n) if o.effect[j]
+        }
+        tr = {
+            (i, j)
+            for i, j in tc
+            if not any((i, k) in tc and (k, j) in tc for k in range(n))
+        }
+        assert len(inst.admissible) == 2 ** len(tc - tr)
+
+    def test_unconstrained_counts_labeled_dags(self):
+        # Robinson (1973): labeled DAGs on 1..5 nodes
+        counts = [len(enumerate_admissible_dags([], n)) for n in range(1, 6)]
+        assert counts == [1, 3, 25, 543, 29281]
 
 
 class TestGenerate:

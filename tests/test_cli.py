@@ -5,6 +5,7 @@ import os
 import pytest
 
 from hyposet.cli import SUMMARY_COLUMNS, SuiteConfig, main
+from hyposet.harness import API_KEY_ENV
 
 
 def read_csv(path):
@@ -214,6 +215,37 @@ class TestRun:
         assert lines[-1]["type"] == "summary"
         assert read_csv(out / "summary.csv")[0]["parse_failures"] == "1"
 
+    def test_unknown_sampler_key_is_a_config_error(self, tmp_path, capsys):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o"),
+                  "sampler": {"kind": "random_valid", "sed": 5}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(path)) == 3
+        assert "unknown sampler config key 'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "token, endpoint, message",
+        [
+            (None, "http://127.0.0.1:9/x", f"needs an auth token in ${API_KEY_ENV}"),
+            ("t", None, "needs an endpoint URL"),
+        ],
+    )
+    def test_remote_without_token_or_endpoint_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, token, endpoint, message
+    ):
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        if token is not None:
+            monkeypatch.setenv(API_KEY_ENV, token)
+        argv = ["run", "--task", "causal", "--difficulty", "1", "--count", "1",
+                "--sampler", "remote", "--out", str(tmp_path / "o")]
+        if endpoint is not None:
+            argv += ["--endpoint", endpoint]
+        assert run_cli(*argv) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_exhausted_oracle_aborts_the_run_not_the_suite(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run_cli(
@@ -311,6 +343,35 @@ class TestReport:
         assert report.startswith(clean.split("| causal |")[0])
         logs[2].write_bytes(b"")
         assert run_cli("report", str(out / "logs"), "--out", str(out / "r2")) == 3
+
+
+    def test_incomplete_logs_are_skipped_and_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        base = ["run", "--task", "causal", "--difficulty", "1", "--seed", "2",
+                "--sampler", "oracle", "--out", str(out), "--deterministic"]
+        run_cli(*base, "--count", "3")
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "clean")) == 0
+        # the exhausted oracle rewrites the first two logs with an abort line;
+        # the second then also loses that last line
+        assert run_cli(*base, "--count", "2", "--n", "50") == 3
+        logs = sorted((out / "logs").iterdir())
+        lines = [json.loads(l) for l in logs[0].read_text().splitlines()]
+        error = lines[-1]["error"]
+        logs[1].write_text("".join(logs[1].read_text().splitlines(True)[:-1]))
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0
+        err = capsys.readouterr().err
+        assert f"{logs[0]}: aborted: {error}" in err
+        assert f"{logs[1]}: no summary line" in err
+        report = (out / "report" / "report.md").read_text()
+        assert report.endswith(
+            "## Skipped logs\n\n"
+            f"- `{logs[0].name}`: aborted: {error}\n"
+            f"- `{logs[1].name}`: no summary line\n"
+        )
+        clean = (out / "clean" / "report.md").read_text()
+        assert "Skipped" not in clean
+        assert report.startswith(clean.split("| causal |")[0])
 
 
 class TestExitCodes:
