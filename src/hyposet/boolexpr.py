@@ -7,15 +7,22 @@ associativity flattening of nested identical operators, child ordering
 De Morgan, no absorption, no double-negation elimination, no constant folding.
 Depth is always measured on the binary parse tree, never on the flattened
 canonical form.
+
+Forms are judged through 4-bit truth tables: every node folds its children's
+facts (``Fold``) once, so evaluation, depth, the space checks and filtering
+by observations read bits instead of walking the tree. One compose routine,
+``_compose``, serves both canonicalization and enumeration.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
@@ -24,32 +31,79 @@ MAX_ENUM_DEPTH = 3
 
 ALL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# Truth tables are 4-bit ints: bit 2*x + y is the value at inputs (x, y).
+_X_TABLE, _Y_TABLE, _ONES = 0b1100, 0b1010, 0b1111
+_COMBINE = {"AND": int.__and__, "OR": int.__or__}
+
+
+class Fold(NamedTuple):
+    """What a node's tree computes, folded up from its children."""
+
+    table: int | None  # None under an operator other than AND/OR
+    depth: int
+    ops: frozenset[str]
+    constants: bool
+    key: str  # deterministic serialization, for ordering and distinctness
+
 
 @dataclass(frozen=True)
-class Var:
+class _Node:
+    """Base of the tree nodes: ``fold`` is built once, from the children's
+    folds, and like ``causal.Dag.reach`` is left out of eq/hash/repr/match."""
+
+    fold: Fold = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fold", self._fold())
+
+
+@dataclass(frozen=True)
+class Var(_Node):
     name: str  # "x" or "y"
 
+    def _fold(self) -> Fold:
+        table = _X_TABLE if self.name == "x" else _Y_TABLE
+        return Fold(table, 0, frozenset(), False, self.name)
+
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: int  # 0 or 1
 
+    def _fold(self) -> Fold:
+        return Fold(_ONES if self.value else 0, 0, frozenset(), True, str(self.value))
+
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     child: "BoolExpr"
 
+    def _fold(self) -> Fold:
+        c = self.child.fold
+        table = None if c.table is None else c.table ^ _ONES
+        return Fold(table, c.depth + 1, c.ops | {"NOT"}, c.constants, f"NOT({c.key})")
+
 
 @dataclass(frozen=True)
-class Op:
+class Op(_Node):
     name: str  # "AND" or "OR"
     children: tuple["BoolExpr", ...]
 
+    def _fold(self) -> Fold:
+        tables, depths, ops, constants, keys = zip(*[c.fold for c in self.children])
+        table = None
+        if self.name in _COMBINE and None not in tables:
+            table = functools.reduce(_COMBINE[self.name], tables)
+        return Fold(
+            table,
+            1 + max(depths),
+            frozenset([self.name]).union(*ops),
+            any(constants),
+            f"{self.name}({','.join(keys)})",
+        )
+
 
 BoolExpr = Var | Const | Not | Op
-
-X = Var("x")
-Y = Var("y")
 
 
 @dataclass(frozen=True)
@@ -65,22 +119,15 @@ class PhenotypeObservation:
             raise ValueError("observation bits must be 0/1")
 
 
+def _table(expr: BoolExpr) -> int:
+    if expr.fold.table is None:
+        raise ValueError(f"unknown operator in {expr.fold.key}")
+    return expr.fold.table
+
+
 def eval_expr(expr: BoolExpr, x: int, y: int) -> int:
     """Standard Boolean semantics."""
-    match expr:
-        case Var(name):
-            return x if name == "x" else y
-        case Const(value):
-            return value
-        case Not(child):
-            return 1 - eval_expr(child, x, y)
-        case Op("AND", children):
-            return int(all(eval_expr(c, x, y) for c in children))
-        case Op("OR", children):
-            return int(any(eval_expr(c, x, y) for c in children))
-        case Op(name, _):
-            raise ValueError(f"unknown operator {name!r}")
-    raise TypeError(f"not a BoolExpr: {expr!r}")
+    return _table(expr) >> (2 * x + y) & 1
 
 
 def truth_table(expr: BoolExpr) -> tuple[int, int, int, int]:
@@ -89,29 +136,24 @@ def truth_table(expr: BoolExpr) -> tuple[int, int, int, int]:
 
 def depth(expr: BoolExpr) -> int:
     """Tree depth: leaves are 0, an operator node is 1 + max child depth."""
-    match expr:
-        case Var() | Const():
-            return 0
-        case Not(child):
-            return 1 + depth(child)
-        case Op(_, children):
-            return 1 + max(depth(c) for c in children)
-    raise TypeError(f"not a BoolExpr: {expr!r}")
+    return expr.fold.depth
 
 
-@functools.lru_cache(maxsize=None)
 def expr_key(expr: BoolExpr) -> str:
     """Deterministic serialization used for ordering and distinctness."""
-    match expr:
-        case Var(name):
-            return name
-        case Const(value):
-            return str(value)
-        case Not(child):
-            return f"NOT({expr_key(child)})"
-        case Op(name, children):
-            return f"{name}({','.join(expr_key(c) for c in children)})"
-    raise TypeError(f"not a BoolExpr: {expr!r}")
+    return expr.fold.key
+
+
+def _compose(name: str, children) -> BoolExpr:
+    """The canonical ``name`` node over canonical children: flatten one level
+    (a canonical child is already flat), drop duplicate keys, sort by key,
+    and collapse a single child."""
+    unique: dict[str, BoolExpr] = {}
+    for child in children:
+        flat = child.children if isinstance(child, Op) and child.name == name else (child,)
+        unique.update((c.fold.key, c) for c in flat)
+    ordered = [unique[k] for k in sorted(unique)]
+    return ordered[0] if len(ordered) == 1 else Op(name, tuple(ordered))
 
 
 def canon_expr(expr: BoolExpr) -> BoolExpr:
@@ -123,44 +165,7 @@ def canon_expr(expr: BoolExpr) -> BoolExpr:
         case Not(child):
             return Not(canon_expr(child))
         case Op(name, children):
-            flat: list[BoolExpr] = []
-            for child in map(canon_expr, children):
-                if isinstance(child, Op) and child.name == name:
-                    flat.extend(child.children)
-                else:
-                    flat.append(child)
-            unique = {expr_key(c): c for c in flat}
-            ordered = [unique[k] for k in sorted(unique)]
-            if len(ordered) == 1:
-                return ordered[0]
-            return Op(name, tuple(ordered))
-    raise TypeError(f"not a BoolExpr: {expr!r}")
-
-
-def used_ops(expr: BoolExpr) -> frozenset[str]:
-    match expr:
-        case Var() | Const():
-            return frozenset()
-        case Not(child):
-            return frozenset({"NOT"}) | used_ops(child)
-        case Op(name, children):
-            out = frozenset({name})
-            for c in children:
-                out |= used_ops(c)
-            return out
-    raise TypeError(f"not a BoolExpr: {expr!r}")
-
-
-def uses_constants(expr: BoolExpr) -> bool:
-    match expr:
-        case Const():
-            return True
-        case Var():
-            return False
-        case Not(child):
-            return uses_constants(child)
-        case Op(_, children):
-            return any(uses_constants(c) for c in children)
+            return _compose(name, map(canon_expr, children))
     raise TypeError(f"not a BoolExpr: {expr!r}")
 
 
@@ -179,24 +184,23 @@ def validate_expr(
     rather than returning False: being out-of-space is not the same thing as
     disagreeing with the data.
     """
-    if ops is not None and not used_ops(expr) <= ops:
+    fold = expr.fold
+    if ops is not None and not fold.ops <= ops:
         raise ConstraintViolation(
-            f"operators {sorted(used_ops(expr) - ops)} outside the allowed set"
+            f"operators {sorted(fold.ops - ops)} outside the allowed set"
         )
-    if not allow_constants and uses_constants(expr):
+    if not allow_constants and fold.constants:
         raise ConstraintViolation("constants are not allowed in this instance")
-    if depth_bound is not None and depth(expr) > depth_bound:
+    if depth_bound is not None and fold.depth > depth_bound:
         raise ConstraintViolation(
-            f"depth {depth(expr)} exceeds the bound {depth_bound}"
+            f"depth {fold.depth} exceeds the bound {depth_bound}"
         )
     return all(eval_expr(expr, o.x, o.y) == o.pi for o in observations)
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerate(ops: frozenset[str], depth_bound: int, allow_constants: bool):
-    leaves: list[BoolExpr] = [X, Y]
-    if allow_constants:
-        leaves += [Const(0), Const(1)]
+    leaves = [Var("x"), Var("y")] + ([Const(0), Const(1)] if allow_constants else [])
     current: dict[str, BoolExpr] = {expr_key(e): e for e in leaves}
     for _ in range(depth_bound):
         previous = list(current.values())
@@ -204,13 +208,12 @@ def _enumerate(ops: frozenset[str], depth_bound: int, allow_constants: bool):
             for a in previous:
                 e = Not(a)
                 current.setdefault(expr_key(e), e)
-        for name in ("AND", "OR"):
-            if name not in ops:
-                continue
-            for a in previous:
-                for b in previous:
-                    e = canon_expr(Op(name, (a, b)))
-                    current.setdefault(expr_key(e), e)
+        for name in sorted(ops & {"AND", "OR"}):
+            # composition is symmetric, and a form composed with itself is
+            # the form again
+            for pair in itertools.combinations(previous, 2):
+                e = _compose(name, pair)
+                current.setdefault(expr_key(e), e)
     return tuple(current[k] for k in sorted(current))
 
 
@@ -238,12 +241,14 @@ def enumerate_exprs(
 
 
 def filter_consistent(exprs, observations) -> tuple[BoolExpr, ...]:
-    """Subset of expressions agreeing with every observed pair."""
+    """Subset of expressions agreeing with every observed pair: the observed
+    1-bits set and the observed 0-bits clear in the truth table."""
     observations = tuple(observations)
+    # summing a set of distinct bits ORs them
+    ones = sum({1 << (2 * o.x + o.y) for o in observations if o.pi})
+    zeros = sum({1 << (2 * o.x + o.y) for o in observations if not o.pi})
     return tuple(
-        e
-        for e in exprs
-        if all(eval_expr(e, o.x, o.y) == o.pi for o in observations)
+        e for e in exprs if (t := _table(e)) & ones == ones and not t & zeros
     )
 
 
@@ -280,16 +285,10 @@ def min_parse_depth(expr: BoolExpr) -> int:
     return _min_depth_and_term(expr)[0]
 
 
-def expr_to_text(expr: BoolExpr) -> str:
-    _, term = _min_depth_and_term(expr)
-    if isinstance(expr, Op):
-        return term[1:-1]
-    return term
-
-
 def serialize_expr(expr: BoolExpr) -> str:
     """Render an expression in the emission schema (``EXPR: x AND NOT y``)."""
-    return "EXPR: " + expr_to_text(expr)
+    _, term = _min_depth_and_term(expr)
+    return "EXPR: " + (term[1:-1] if isinstance(expr, Op) else term)
 
 
 # --- parsing ----------------------------------------------------------------

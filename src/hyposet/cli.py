@@ -174,7 +174,7 @@ def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
     The environment variable holding the auth token is not configurable."""
     data = dict(cfg.sampler)
     kind = data.pop("kind", "oracle")
-    known = {f.name for f in fields(SamplerConfig)} - {"api_key_env"}
+    known = {f.name for f in fields(SamplerConfig)}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown sampler config key {key!r}")

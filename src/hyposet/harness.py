@@ -121,7 +121,6 @@ class SamplerConfig:
     max_tokens: int | None = None
     max_attempts: int = 3
     backoff: float = 0.5
-    api_key_env: str = API_KEY_ENV
 
     def digest(self) -> str:
         payload = {
@@ -144,11 +143,9 @@ class SamplerConfig:
     def remote_token(self) -> str:
         """The auth token for remote sampling, read from the environment; a
         missing token or endpoint raises ConfigError."""
-        token = os.environ.get(self.api_key_env)
+        token = os.environ.get(API_KEY_ENV)
         if not token:
-            raise ConfigError(
-                f"remote sampling needs an auth token in ${self.api_key_env}"
-            )
+            raise ConfigError(f"remote sampling needs an auth token in ${API_KEY_ENV}")
         if not self.endpoint:
             raise ConfigError("remote sampling needs an endpoint URL")
         return token

@@ -224,7 +224,6 @@ class VoxelInstance:
     difficulty: str = ""
     instance_id: str = ""
     seed: int | None = None
-    enum_cap: int = DEFAULT_ENUM_CAP
 
     @functools.cached_property
     def projection_key(self) -> str:
@@ -247,7 +246,6 @@ def generate_voxel_instance(
     *,
     difficulty: str = "",
     instance_id: str = "",
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VoxelInstance:
     """Place ``occupied_count`` occupied cells uniformly at random on an MxM
     grid; the admissible count is then k**occupied_count."""
@@ -264,5 +262,4 @@ def generate_voxel_instance(
         difficulty=difficulty or f"tp={occupied_count}",
         instance_id=instance_id,
         seed=seed,
-        enum_cap=enum_cap,
     )

@@ -3,14 +3,15 @@
 These deliberately avoid the package's search/closure code paths: acyclicity
 via Kahn's algorithm, reachability via plain BFS over adjacency lists, voxel
 checks via explicit per-column loops, Boolean spaces via naive recursive tree
-generation, truth tables via a standalone evaluator.
+generation and a canonical key of its own, truth tables and depths via
+standalone walks.
 """
 
 import itertools
 
 import numpy as np
 
-from hyposet.boolexpr import Const, Not, Op, Var, canon_expr, expr_key
+from hyposet.boolexpr import Const, Not, Op, Var
 from hyposet.causal import Dag, canon_dag
 
 
@@ -108,12 +109,47 @@ def naive_bool_trees(ops, depth_bound, allow_constants):
     return out
 
 
+def _naive_canon(node, memo):
+    """(key, top operator or None, operand keys) of the canonical form:
+    bottom-up, a child under the same operator is flattened into its operands,
+    then operands are deduplicated by key and sorted, and a single operand
+    stands for the whole node. ``memo`` maps id(node) to its result, since
+    naive trees share their subtrees."""
+    if id(node) in memo:
+        return memo[id(node)]
+    if isinstance(node, Var):
+        form = (node.name, None, ())
+    elif isinstance(node, Const):
+        form = (str(node.value), None, ())
+    elif isinstance(node, Not):
+        form = (f"NOT({_naive_canon(node.child, memo)[0]})", None, ())
+    else:
+        operands = {}
+        for child in node.children:
+            key, op, keys = child_form = _naive_canon(child, memo)
+            if op == node.name:
+                operands.update((k, None) for k in keys)
+            else:
+                operands[key] = child_form
+        if len(operands) == 1:
+            (form,) = operands.values()
+        else:
+            keys = tuple(sorted(operands))
+            form = (f"{node.name}({','.join(keys)})", node.name, keys)
+    memo[id(node)] = form
+    return form
+
+
+def naive_canon_key(tree):
+    """Canonical key of one tree, without the package canonicalizer."""
+    return _naive_canon(tree, {})[0]
+
+
 def naive_bool_canon_keys(ops, depth_bound, allow_constants):
     """Naive tree generation + canonical dedupe."""
-    return {
-        expr_key(canon_expr(t))
-        for t in naive_bool_trees(ops, depth_bound, allow_constants)
-    }
+    trees = naive_bool_trees(ops, depth_bound, allow_constants)
+    memo = {}
+    return {_naive_canon(t, memo)[0] for t in trees}
 
 
 def independent_truth_table(expr):
@@ -134,3 +170,11 @@ def independent_truth_table(expr):
         raise AssertionError(node)
 
     return tuple(ev(expr, x, y) for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def independent_depth(expr):
+    """Parse-tree depth via a standalone walk (no boolexpr.depth)."""
+    if isinstance(expr, (Var, Const)):
+        return 0
+    children = [expr.child] if isinstance(expr, Not) else expr.children
+    return 1 + max(independent_depth(c) for c in children)

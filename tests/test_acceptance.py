@@ -93,16 +93,17 @@ def test_criterion_2_enumerator_soundness_completeness():
                 assert got == brute_admissible_stack_canons(proj, k)
                 voxel_checked += 1
 
-    # boolean: space equality for d <= 2, then filter equality over all 16
-    # truth tables as observation sets
+    # boolean: space equality for d <= 2, and for d = 3 without constants
+    # (195,312 naive trees), then filter equality over all 16 truth tables as
+    # observation sets
     ops = frozenset({"NOT", "AND", "OR"})
-    for allow_constants in (False, True):
-        for d in (0, 1, 2):
-            fast = {
-                boolexpr.expr_key(e)
-                for e in boolexpr.enumerate_exprs(ops, d, allow_constants)
-            }
-            assert fast == naive_bool_canon_keys(ops, d, allow_constants)
+    spaces = [(d, c) for c in (False, True) for d in (0, 1, 2)] + [(3, False)]
+    for d, allow_constants in spaces:
+        fast = {
+            boolexpr.expr_key(e)
+            for e in boolexpr.enumerate_exprs(ops, d, allow_constants)
+        }
+        assert fast == naive_bool_canon_keys(ops, d, allow_constants)
     naive_space = [
         boolexpr.canon_expr(t) for t in naive_bool_trees(ops, 2, False)
     ]
@@ -127,7 +128,8 @@ def test_criterion_2_enumerator_soundness_completeness():
     ok(
         2,
         f"enumerators match brute force (causal x{causal_checked}, voxel "
-        f"x{voxel_checked}, bool d<=2 with 16 filters) in {elapsed:.1f}s",
+        f"x{voxel_checked}, bool d<=2 and d=3 without constants, with 16 "
+        f"filters) in {elapsed:.1f}s",
     )
 
 

@@ -26,7 +26,12 @@ from hyposet.boolexpr import (
 )
 from hyposet.errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
-from bruteforce import independent_truth_table, naive_bool_canon_keys
+from bruteforce import (
+    independent_depth,
+    independent_truth_table,
+    naive_bool_canon_keys,
+    naive_canon_key,
+)
 
 OPS = frozenset({"NOT", "AND", "OR"})
 
@@ -128,6 +133,17 @@ class TestFilter:
         obs = [PhenotypeObservation(0, 0, 0), PhenotypeObservation(0, 0, 1)]
         assert filter_consistent(enumerate_exprs(OPS, 2), obs) == ()
 
+    @pytest.mark.parametrize("x, y", ALL_PAIRS)
+    def test_conflict_on_any_pair_empties_the_full_space(self, x, y):
+        conflicting = [
+            PhenotypeObservation(x, y, 1),
+            PhenotypeObservation(1 - x, 1 - y, 0),
+            PhenotypeObservation(x, y, 0),
+        ]
+        space = enumerate_exprs(OPS, 3, True)
+        assert filter_consistent(space, conflicting) == ()
+        assert not any(validate_expr(e, conflicting) for e in space[:200])
+
 
 class TestValidate:
     def test_or_table(self):
@@ -152,6 +168,31 @@ class TestValidate:
     def test_constants_constraint(self):
         with pytest.raises(ConstraintViolation):
             validate_expr(parse_expr("x AND 1"), [], allow_constants=False)
+
+    def test_unknown_operator_is_outside_the_allowed_set(self):
+        xor = Op("XOR", (Var("x"), Var("y")))
+        with pytest.raises(ConstraintViolation) as err:
+            validate_expr(xor, [], ops=OPS)
+        assert str(err.value) == "operators ['XOR'] outside the allowed set"
+
+    def test_violations_reported_in_precedence_order(self):
+        # breaks all three rules: an unknown operator, a constant, depth 4
+        tree = Op("XOR", (Not(Not(Not(Const(1)))), Var("x")))
+        space = {"ops": OPS, "depth_bound": 3, "allow_constants": False}
+        expected = [
+            ("ops", "operators ['XOR'] outside the allowed set"),
+            ("allow_constants", "constants are not allowed in this instance"),
+            ("depth_bound", "depth 4 exceeds the bound 3"),
+        ]
+        for rule, message in expected:
+            with pytest.raises(ConstraintViolation) as err:
+                validate_expr(tree, [], **space)
+            assert str(err.value) == message
+            del space[rule]
+        # inside every rule, the unknown operator still has no semantics
+        assert validate_expr(tree, []) is True
+        with pytest.raises(ValueError):
+            validate_expr(tree, [PhenotypeObservation(0, 0, 1)])
 
 
 class TestParser:
@@ -228,7 +269,7 @@ class TestTokenLimit:
 
 class TestSerialization:
     @pytest.mark.parametrize("allow_constants", [False, True])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_round_trip_and_budget(self, d, allow_constants):
         for expr in enumerate_exprs(OPS, d, allow_constants):
             text = serialize_expr(expr)
@@ -244,6 +285,28 @@ class TestSerialization:
         assert len(wide.children) == 4
         assert min_parse_depth(wide) == 2
         assert depth(parse_expr(serialize_expr(wide))) == 2
+
+
+class TestFold:
+    def test_matches_independent_walks_on_the_full_depth_three_space(self):
+        space = enumerate_exprs(OPS, 3, True)
+        assert len(space) == 88_992
+        for expr in space:
+            assert truth_table(expr) == independent_truth_table(expr)
+            assert depth(expr) == independent_depth(expr)
+
+    def test_bit_order(self):
+        # bit 2*x + y holds the value at (x, y)
+        assert parse_expr("x AND NOT y").fold.table == 0b0100
+        assert parse_expr("1").fold.table == 0b1111
+
+    def test_fold_is_not_part_of_equality_hash_repr_or_match(self):
+        a, b = parse_expr("x AND y"), parse_expr("y AND x")
+        assert a.fold.table == b.fold.table and a != b
+        assert Op("AND", (Var("x"), Var("y"))) == a
+        assert hash(Op("AND", (Var("x"), Var("y")))) == hash(a)
+        assert repr(a) == "Op(name='AND', children=(Var(name='x'), Var(name='y')))"
+        assert Op.__match_args__ == ("name", "children")
 
 
 class TestGenerate:
@@ -303,6 +366,11 @@ class TestProperties:
     def test_canon_idempotent(self, tree):
         once = canon_expr(tree)
         assert expr_key(canon_expr(once)) == expr_key(once)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_trees())
+    def test_canon_matches_the_independent_key(self, tree):
+        assert expr_key(canon_expr(tree)) == naive_canon_key(tree)
 
     @settings(max_examples=200, deadline=None)
     @given(random_trees())

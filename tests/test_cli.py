@@ -225,6 +225,16 @@ class TestRun:
         assert "unknown sampler config key 'sed'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_token_variable_is_not_a_sampler_key(self, tmp_path, capsys):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o"),
+                  "sampler": {"kind": "remote", "api_key_env": "OTHER_TOKEN"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(path)) == 3
+        assert "unknown sampler config key 'api_key_env'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "token, endpoint, message",
         [
