@@ -16,7 +16,6 @@ from hyposet.tasks import get_task
 
 task = get_task("voxel")
 instance = task.generate(seed=3, level="3")  # 27 admissible scenes
-keys = task.admissible_keys(instance)
 
 
 def describe(name, config, n=27):
@@ -29,7 +28,7 @@ def describe(name, config, n=27):
     for delta in gains:
         total += delta
         cumulative.append(total)
-    count, bits = creativity_measures(log.records, keys)
+    count, bits = creativity_measures(log.records)
     print(f"{name}:")
     print(f"  final entropy: {pattern_entropy(log.records):.3f} bits")
     print("  cumulative entropy per step:",

@@ -59,12 +59,9 @@ from .metrics import (
     ProposalRecord,
     RunScorer,
     aggregate,
-    coverage_fraction,
     creativity_measures,
     info_gain_series,
-    is_novel,
     pattern_entropy,
-    rr_at_k,
     score_run,
 )
 from .tasks import get_task, load_instance

@@ -52,6 +52,14 @@ ENTROPY_COLUMNS = ["instance_id", "t", "H_t", "delta_I_t"]
 
 _SAMPLER_ALIASES = {"random": "random_valid"}
 
+_JSON_TYPES = {
+    bool: "true or false",
+    int: "an integer",
+    str: "a string",
+    list: "a list of strings",
+    dict: "an object",
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -83,12 +91,29 @@ class SuiteConfig:
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
+        """The config in a JSON file; a file that is not one JSON object, an
+        unknown key, or a value whose type differs from the key's default
+        (an int or null for ``n_override``, a list of strings for
+        ``difficulty``) is a ConfigError."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError("a config file holds one JSON object")
         cfg = cls()
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ConfigError(f"unknown config key {key!r}")
+            default = getattr(cfg, key)
+            expected = int if default is None else type(default)
+            # exact types: a bool is no int, and only n_override may be null
+            ok = type(value) is expected or (default is None and value is None)
+            if key == "difficulty":
+                ok = ok and all(isinstance(level, str) for level in value)
+            if not ok:
+                raise ConfigError(
+                    f"config key {key!r} must be {_JSON_TYPES[expected]},"
+                    f" not {json.dumps(value)}"
+                )
             setattr(cfg, key, value)
         return cfg
 

@@ -313,6 +313,21 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _judge(task, instance, scorer, index, raw) -> metrics.ProposalRecord:
+    """Classify one emission into the run's scorer; a raw text the run has
+    seen before reuses its evaluation."""
+    evaluation = scorer.evaluation_of(raw) or task.evaluate_text(instance, raw)
+    return metrics.make_record(index, raw, evaluation, scorer)
+
+
+def _close(scorer, **extra) -> metrics.MetricsSummary:
+    """The run's summary with its creativity measures and ``extra`` fields."""
+    c_count, c_entropy = metrics.creativity_measures(scorer)
+    return replace(
+        metrics.score_run(scorer), c_count=c_count, c_entropy_bits=c_entropy, **extra
+    )
+
+
 def run_instance(
     task,
     instance,
@@ -323,11 +338,13 @@ def run_instance(
     n_cap: int = DEFAULT_N_CAP,
     log_path=None,
     deterministic: bool = False,
-    epsilon: float = 0.0,
     config_digest: str | None = None,
 ) -> RunLog:
     """Draw N proposals (N = |H_O| capped at ``n_cap`` unless overridden),
-    classify each one, and persist the log incrementally as JSONL."""
+    classify each one, and persist the log incrementally as JSONL.
+
+    An exception from the sampler ends the run with an ``abort`` line: the
+    run is incomplete and has no summary."""
     count = task.admissible_count(instance)
     n = n_override if n_override is not None else min(count, n_cap)
     if n < 1:
@@ -350,7 +367,7 @@ def run_instance(
 
     writer = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     started = time.perf_counter()
-    scorer = metrics.RunScorer(task.admissible_keys(instance))
+    scorer = metrics.RunScorer(count)
     observations_text = task.observations_text(instance)
     records: list[metrics.ProposalRecord] = []
     history: list[str] = []
@@ -371,12 +388,12 @@ def run_instance(
             )
             try:
                 raw = sampler.next_proposal(context)
-            except (TransportFailure, SamplerExhausted) as err:
+            except Exception as err:  # a faulty sampler ends its run only
                 complete = False
-                abort_error = str(err)
+                known = isinstance(err, (TransportFailure, SamplerExhausted))
+                abort_error = str(err) if known else f"{type(err).__name__}: {err}"
                 break
-            evaluation = scorer.evaluation_of(raw) or task.evaluate_text(instance, raw)
-            record = metrics.make_record(index, raw, evaluation, scorer)
+            record = _judge(task, instance, scorer, index, raw)
             records.append(record)
             history.append(raw)
             if writer:
@@ -400,14 +417,7 @@ def run_instance(
 
         summary = None
         if complete:
-            base = metrics.score_run(scorer)
-            c_count, c_entropy = metrics.creativity_measures(scorer, epsilon=epsilon)
-            summary = replace(
-                base,
-                c_count=c_count,
-                c_entropy_bits=c_entropy,
-                token_count=token_count,
-            )
+            summary = _close(scorer, token_count=token_count)
             if writer:
                 line = {
                     "type": "summary",
@@ -470,7 +480,9 @@ def run_suite(
     """Generate instances deterministically from the suite seed and run each.
 
     Instance i at level L uses the named sub-seed hash(seed, task, L, i), so
-    levels and instances can be regenerated independently.
+    levels and instances can be regenerated independently. Each log in
+    ``out_dir`` is named ``<instance id>-<config digest>.jsonl``, with the
+    sampler digest when no config digest is given.
     """
     task = get_task(task_name)
     logs = []
@@ -488,12 +500,10 @@ def run_suite(
             sampler = make_sampler(per_run, task, instance)
             log_path = None
             if out_dir is not None:
-                # the suite-level config is the sampler's identity: one digest
-                # per suite even when runs derive their own sub-seeds
-                log_path = os.path.join(
-                    out_dir,
-                    f"{instance.instance_id}-{sampler_config.digest()}.jsonl",
-                )
+                # named by the suite: two suites never share a log file, and
+                # runs that derive their own sub-seeds keep one name per suite
+                suite = config_digest or sampler_config.digest()
+                log_path = os.path.join(out_dir, f"{instance.instance_id}-{suite}.jsonl")
             try:
                 logs.append(
                     run_instance(
@@ -572,11 +582,7 @@ def rescore_log(path) -> tuple[dict, metrics.MetricsSummary]:
         raise ValueError(f"{path}: incomplete log has no summary to check")
     instance = load_instance(log["header"]["instance"])
     task = get_task(log["header"]["task"])
-    scorer = metrics.RunScorer(task.admissible_keys(instance))
+    scorer = metrics.RunScorer(task.admissible_count(instance))
     for prop in log["proposals"]:
-        raw = prop["raw"]
-        evaluation = scorer.evaluation_of(raw) or task.evaluate_text(instance, raw)
-        metrics.make_record(prop["index"], raw, evaluation, scorer)
-    base = metrics.score_run(scorer)
-    c_count, c_entropy = metrics.creativity_measures(scorer)
-    return log["summary"], replace(base, c_count=c_count, c_entropy_bits=c_entropy)
+        _judge(task, instance, scorer, prop["index"], prop["raw"])
+    return log["summary"], _close(scorer)

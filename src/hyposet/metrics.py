@@ -7,7 +7,7 @@ admissible set H:
 
 * validity rate   VR = #valid / N
 * uniqueness rate NR = #novel / N   (order-respecting, all proposals)
-* recovery rate   RR = #(valid and novel, canonical form in H) / |H|
+* recovery rate   RR = #(distinct valid canonical forms) / |H|
 
 Every proposal has a comparison key: its canonical form when the emission
 parses, its exact raw text otherwise. A valid proposal is novel iff no
@@ -19,6 +19,13 @@ run, and RR <= NR. Each proposal lands in exactly one failure category,
 resolved in this precedence order: parse_failure, constraint_violation,
 invalid, duplicate_exact (valid, not novel, raw text seen before),
 duplicate_canonical, valid_novel.
+
+Every task's validator keeps one contract: a valid proposal's canonical
+form lies in H (causal: an acyclic graph that matches every observation;
+voxel: a settled stack over the projection; bool: an in-space form that
+agrees with the data). So scoring needs only |H|: the valid_novel records
+are the distinct valid canonical forms, and no form is looked up in H.
+``tests/test_contract.py`` checks the contract against the enumerators.
 
 RunScorer holds a run's running state: classifying a proposal costs O(1)
 whatever came before, and closing the run needs no second pass over the
@@ -99,15 +106,13 @@ class RunScorer:
     """Running state of one run: classifies each proposal in O(1) and
     summarises the run from its counters, with no pass over the records.
 
-    ``admissible_set`` needs only ``len`` and ``in`` over canonical forms, so
-    lazily counted sets work too. It is taken once, when the run starts, and
-    each distinct valid canonical form is tested against it once. Without
-    it the scorer only classifies.
+    ``admissible_size`` is |H|; the recovered forms are the valid_novel
+    records, which the validators' contract puts in H. With size 0 the
+    scorer only classifies.
     """
 
-    def __init__(self, admissible_set=None):
-        self._admissible = admissible_set
-        self.admissible_size = 0 if admissible_set is None else len(admissible_set)
+    def __init__(self, admissible_size: int = 0):
+        self.admissible_size = admissible_size
         self._valid_keys: set[str] = set()  # comparison keys of valid proposals
         self._other_keys: set[str] = set()  # and of all other proposals
         # each raw text seen, with its evaluation (None when replayed)
@@ -115,15 +120,14 @@ class RunScorer:
         self._counts = dict.fromkeys(CATEGORIES, 0)
         self._valid = 0
         self._novel = 0
-        self._recovered: set[str] = set()
         self._curve: list[float] = []
         self._valid_forms: Counter[str] = Counter()
         self.n = 0
 
     @classmethod
-    def replay(cls, records, admissible_set=None) -> "RunScorer":
+    def replay(cls, records, admissible_size: int = 0) -> "RunScorer":
         """A scorer that has observed ``records`` in order."""
-        scorer = cls(admissible_set)
+        scorer = cls(admissible_size)
         for record in records:
             scorer.observe(record)
         return scorer
@@ -184,28 +188,25 @@ class RunScorer:
         self.n += 1
         if record.valid and record.parsed is not None:
             self._valid_forms[record.parsed] += 1
-            if (
-                record.novel
-                and self._admissible is not None
-                and record.parsed in self._admissible
-            ):
-                self._recovered.add(record.parsed)
         if self.admissible_size:
-            self._curve.append(len(self._recovered) / self.admissible_size)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the admissible set hit by distinct valid canonical
-        forms; equal to RR under the novelty rule."""
-        if not self.admissible_size:
-            raise ValueError("admissible set must be nonempty")
-        return len(self._recovered) / self.admissible_size
+            self._curve.append(self._counts["valid_novel"] / self.admissible_size)
 
     def summary(self) -> MetricsSummary:
-        """VR/NR/RR plus the RR@k curve, coverage, and per-category counts."""
+        """VR/NR/RR plus the RR@k curve, coverage, and per-category counts.
+
+        More distinct valid forms than |H| means a validator broke the
+        contract, and raises ValueError rather than report RR > 1."""
         if self.n == 0:
             raise ValueError("empty run: no records to score")
-        coverage = self.coverage
+        if not self.admissible_size:
+            raise ValueError("admissible set must be nonempty")
+        recovered = self._counts["valid_novel"]
+        if recovered > self.admissible_size:
+            raise ValueError(
+                f"{recovered} distinct valid forms exceed the admissible"
+                f" set of {self.admissible_size}"
+            )
+        coverage = recovered / self.admissible_size
         return MetricsSummary(
             vr=self._valid / self.n,
             nr=self._novel / self.n,
@@ -226,17 +227,10 @@ class RunScorer:
         return c_count, _entropy_bits(counts.values())
 
 
-def _as_scorer(run, admissible_set=None) -> RunScorer:
+def _as_scorer(run, admissible_set=()) -> RunScorer:
     if isinstance(run, RunScorer):
         return run
-    return RunScorer.replay(run, admissible_set)
-
-
-def is_novel(comparison_key: str, earlier, *, valid: bool = False) -> int:
-    """1 iff no earlier record shares the comparison key; a valid proposal
-    is compared with the earlier valid records only. ``earlier`` is a
-    RunScorer or a sequence of records."""
-    return _as_scorer(earlier).is_novel(comparison_key, valid)
+    return RunScorer.replay(run, len(admissible_set))
 
 
 def make_record(
@@ -257,23 +251,14 @@ def make_record(
     return record
 
 
-def score_run(records, admissible_set=None) -> MetricsSummary:
-    """VR/NR/RR plus the RR@k curve, coverage, and per-category counts.
+def score_run(records, admissible_set=()) -> MetricsSummary:
+    """VR/NR/RR plus the RR@k curve (entry k is RR over the first k records),
+    coverage, and per-category counts.
 
-    ``records`` is a RunScorer, which carries its admissible set, or a
-    sequence of records scored against ``admissible_set``.
+    ``records`` is a RunScorer, which carries |H|, or a sequence of records
+    scored against ``len(admissible_set)``.
     """
     return _as_scorer(records, admissible_set).summary()
-
-
-def rr_at_k(records, admissible_set=None) -> tuple[float, ...]:
-    """Entry k is the recovery rate over the first k records; nondecreasing."""
-    return score_run(records, admissible_set).rr_at_k
-
-
-def coverage_fraction(records, admissible_set=None) -> float:
-    """Fraction of the admissible set hit by distinct valid canonical forms."""
-    return _as_scorer(records, admissible_set).coverage
 
 
 def _entropy_bits(counts) -> float:
@@ -320,32 +305,16 @@ def info_gain_series(patterns) -> tuple[float, ...]:
     return tuple(series)
 
 
-def creativity_measures(
-    records,
-    admissible_set=None,
-    epsilon: float = 0.0,
-    *,
-    posterior: str = "empirical",
-) -> tuple[int, float]:
+def creativity_measures(records, epsilon: float = 0.0) -> tuple[int, float]:
     """(hypothesis count above the plausibility threshold, posterior entropy
     in bits).
 
-    ``records`` is a RunScorer or a sequence of records. The default
-    posterior is the empirical frequency distribution over the run's valid
-    canonical hypotheses; ``posterior="uniform"`` switches to the uniform
-    distribution over the whole admissible set. A run with no valid
-    proposals scores (0, 0.0).
+    ``records`` is a RunScorer or a sequence of records. The posterior is the
+    empirical frequency distribution over the run's valid canonical
+    hypotheses. A run with no valid proposals scores (0, 0.0).
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must satisfy 0 <= epsilon < 1")
-    if posterior == "uniform":
-        h = _as_scorer(records, admissible_set).admissible_size
-        if h == 0:
-            raise ValueError("admissible set must be nonempty")
-        c_count = h if 1 / h > epsilon else 0
-        return c_count, math.log2(h)
-    if posterior != "empirical":
-        raise ValueError(f"unknown posterior {posterior!r}")
     return _as_scorer(records).creativity(epsilon)
 
 

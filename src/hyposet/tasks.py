@@ -149,27 +149,14 @@ class CausalTask:
 
 
 class _LazyStackSet:
-    """len/contains/iter view over the voxel admissible set; membership is a
-    string check of the canonical key, without materializing any stack."""
+    """len/iter view over the voxel admissible set: the canonical keys in
+    enumeration order, without materializing any stack."""
 
     def __init__(self, instance):
         self._instance = instance
-        self._bottom = instance.projection_key
 
     def __len__(self):
         return self._instance.count
-
-    def __contains__(self, key):
-        """True iff ``key`` has K layers shaped like the projection, with 0/1
-        cells; its bottom layer equals the projection (a column is occupied
-        iff its bottom cell is); and every column is a bottom-anchored
-        prefix."""
-        if not isinstance(key, str):
-            return False
-        layers = key.split("|")
-        if len(layers) != self._instance.k or layers[0] != self._bottom:
-            return False
-        return voxel.layers_settled(layers)
 
     def __iter__(self):
         return (key for _, key in _stack_texts(self._instance))

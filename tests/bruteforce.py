@@ -69,6 +69,19 @@ def brute_admissible_dag_canons(observations, n):
     return out
 
 
+def _settled_over(tensor, proj):
+    """Hand-rolled gravity and projection loops over one binary tensor."""
+    k, rows, cols = tensor.shape
+    for i in range(rows):
+        for j in range(cols):
+            column = [int(tensor[z, i, j]) for z in range(k)]
+            if any(column[z] > column[z - 1] for z in range(1, k)):
+                return False
+            if (1 if any(column) else 0) != int(proj[i, j]):
+                return False
+    return True
+
+
 def brute_admissible_stack_canons(projection, k):
     """Canonical forms of every valid stack, by filtering all binary tensors
     with hand-rolled gravity and projection loops."""
@@ -79,17 +92,23 @@ def brute_admissible_stack_canons(projection, k):
     out = set()
     for bits in itertools.product([0, 1], repeat=k * rows * cols):
         tensor = np.asarray(bits, dtype=np.uint8).reshape(k, rows, cols)
-        ok = True
-        for i in range(rows):
-            for j in range(cols):
-                column = [int(tensor[z, i, j]) for z in range(k)]
-                if any(column[z] > column[z - 1] for z in range(1, k)):
-                    ok = False
-                if (1 if any(column) else 0) != int(proj[i, j]):
-                    ok = False
-        if ok:
+        if _settled_over(tensor, proj):
             out.add(canon_stack(tensor))
     return out
+
+
+def stack_canon_admissible(canon, projection, k):
+    """True iff a canonical key (layers split by ``|``, rows by ``/``) is a
+    valid stack of height k over the projection, by the same loops."""
+    proj = np.asarray(projection)
+    cells = [[list(row) for row in layer.split("/")] for layer in canon.split("|")]
+    try:
+        tensor = np.asarray(cells, dtype=str)
+    except ValueError:  # ragged
+        return False
+    if tensor.shape != (k,) + proj.shape or not set(tensor.flat) <= {"0", "1"}:
+        return False
+    return _settled_over(tensor.astype(np.uint8), proj)
 
 
 def naive_bool_trees(ops, depth_bound, allow_constants):

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
+from hyposet import harness
 from hyposet.cli import SUMMARY_COLUMNS, SuiteConfig, main
-from hyposet.harness import API_KEY_ENV
+from hyposet.harness import API_KEY_ENV, derive_seed
 
 
 def read_csv(path):
@@ -275,6 +276,103 @@ class TestRun:
             assert len(proposals) == len(header["instance"]["admissible"]) < 50
         assert "2 incomplete" in capsys.readouterr().out
 
+    def test_a_second_suite_keeps_the_first_suites_logs(self, tmp_path):
+        # two suites into one --out that differ only in --seed; both abort
+        # (the oracle runs dry before N = 50) but still leave their logs
+        out = tmp_path / "o"
+        base = ["run", "--task", "causal", "--difficulty", "1", "--sampler",
+                "oracle", "--n", "50", "--out", str(out), "--deterministic"]
+        suites = {}
+        for seed, count in ((0, 2), (3, 1), (0, 2)):  # the last one reruns
+            assert run_cli(*base, "--count", str(count), "--seed", str(seed)) == 3
+            suites[json.loads((out / "config.json").read_text())["digest"]] = seed
+        assert len(suites) == 2
+        found = set()
+        for path in (out / "logs").glob("*.jsonl"):
+            header = json.loads(path.read_text().splitlines()[0])
+            digest, instance_id = header["config_digest"], header["instance_id"]
+            assert path.name == f"{instance_id}-{digest}.jsonl"
+            index = int(instance_id[-3:])
+            seed = derive_seed(suites[digest], "causal", "1", index)
+            assert header["instance"]["seed"] == seed
+            found.add((suites[digest], index))
+        assert found == {(0, 0), (0, 1), (3, 0)}
+
+    def test_sampler_exception_aborts_its_run_only(self, tmp_path, monkeypatch, capsys):
+        make_sampler = harness.make_sampler
+
+        class Faulty:
+            def __init__(self, sampler):
+                self._sampler = sampler
+
+            def next_proposal(self, context):
+                if context.attempt_index == 3:
+                    raise RuntimeError("sampler fell over")
+                return self._sampler.next_proposal(context)
+
+        def faulty_second(config, task, instance):
+            sampler = make_sampler(config, task, instance)
+            return Faulty(sampler) if instance.instance_id.endswith("-001") else sampler
+
+        monkeypatch.setattr(harness, "make_sampler", faulty_second)
+        out = tmp_path / "o"
+        assert run_cli(
+            "run", "--task", "causal", "--difficulty", "1", "--count", "3",
+            "--sampler", "random", "--n", "5", "--out", str(out), "--deterministic",
+        ) == 3
+        assert "3 instances (1 incomplete)" in capsys.readouterr().out
+        logs = sorted((out / "logs").glob("*.jsonl"))
+        ends = []
+        for log in logs:
+            lines = [json.loads(l) for l in log.read_text().splitlines()]
+            ends.append((len(lines), lines[-1]["type"]))
+        assert ends == [(7, "summary"), (4, "abort"), (7, "summary")]
+        last = json.loads(logs[1].read_text().splitlines()[-1])
+        assert last["error"] == "RuntimeError: sampler fell over"
+        assert [r["instance_id"] for r in read_csv(out / "summary.csv")] == [
+            "causal-n4-000", "causal-n4-002",
+        ]
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "r")) == 0
+        assert (out / "r" / "report.md").read_text().endswith(
+            "## Skipped logs\n\n"
+            f"- `{logs[1].name}`: aborted: RuntimeError: sampler fell over\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("count", "2", "an integer"),
+            ("count", True, "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("n_cap", None, "an integer"),
+            ("difficulty", "12", "a list of strings"),
+            ("difficulty", [1, 2], "a list of strings"),
+            ("sampler", "oracle", "an object"),
+            ("generate", [], "an object"),
+            ("n_override", "5", "an integer"),
+            ("n_override", False, "an integer"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_writes_nothing(
+        self, tmp_path, capsys, key, value, expected
+    ):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o"), key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(path)) == 3
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be {expected}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_an_object_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 3
+        assert "a config file holds one JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_report_shape(self, tmp_path):
@@ -361,10 +459,13 @@ class TestReport:
                 "--sampler", "oracle", "--out", str(out), "--deterministic"]
         run_cli(*base, "--count", "3")
         assert run_cli("report", str(out / "logs"), "--out", str(out / "clean")) == 0
-        # the exhausted oracle rewrites the first two logs with an abort line;
-        # the second then also loses that last line
+        # a second suite into the same directory: the exhausted oracle ends
+        # both of its logs with an abort line, and the second log then also
+        # loses that last line
         assert run_cli(*base, "--count", "2", "--n", "50") == 3
-        logs = sorted((out / "logs").iterdir())
+        digest = json.loads((out / "config.json").read_text())["digest"]
+        logs = sorted((out / "logs").glob(f"*-{digest}.jsonl"))
+        assert len(logs) == 2 and len(list((out / "logs").iterdir())) == 5
         lines = [json.loads(l) for l in logs[0].read_text().splitlines()]
         error = lines[-1]["error"]
         logs[1].write_text("".join(logs[1].read_text().splitlines(True)[:-1]))

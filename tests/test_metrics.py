@@ -6,17 +6,15 @@ import pytest
 from hyposet.metrics import (
     CATEGORIES,
     ProposalRecord,
+    RunScorer,
     TextEvaluation,
     aggregate,
-    coverage_fraction,
     creativity_measures,
     format_mean_std,
     info_gain_series,
-    is_novel,
     make_record,
     pattern_entropy,
     record_key,
-    rr_at_k,
     score_run,
 )
 
@@ -54,7 +52,8 @@ H4 = frozenset({"h1", "h2", "h3", "h4"})
 
 class TestNovelty:
     def test_first_proposal_is_novel(self):
-        assert is_novel("anything", []) == 1
+        assert RunScorer().is_novel("anything") == 1
+        assert build_run([garbage("anything")])[0].novel == 1
 
     def test_exact_repeat(self):
         records = build_run([valid("t1", "h1"), valid("t2", "h2"), valid("t1", "h1")])
@@ -128,11 +127,11 @@ class TestScoreRun:
 class TestRrAtK:
     def test_oracle_curve(self):
         records = build_run([valid(f"t{i}", f"h{i}") for i in (1, 2, 3, 4)])
-        assert rr_at_k(records, H4) == (0.25, 0.5, 0.75, 1.0)
+        assert score_run(records, H4).rr_at_k == (0.25, 0.5, 0.75, 1.0)
 
     def test_repeater_flat(self):
         records = build_run([valid("t", "h1")] * 4)
-        assert rr_at_k(records, H4) == (0.25, 0.25, 0.25, 0.25)
+        assert score_run(records, H4).rr_at_k == (0.25, 0.25, 0.25, 0.25)
 
     def test_final_matches_score_run(self):
         rng = random.Random(5)
@@ -146,8 +145,9 @@ class TestRrAtK:
             else:
                 specs.append(garbage(f"junk{rng.randint(0, 2)}"))
         records = build_run(specs)
-        curve = rr_at_k(records, H4)
-        assert curve[-1] == score_run(records, H4).rr
+        summary = score_run(records, H4)
+        curve = summary.rr_at_k
+        assert len(curve) == len(records) and curve[-1] == summary.rr
         assert all(a <= b for a, b in zip(curve, curve[1:]))
 
 
@@ -204,42 +204,43 @@ class TestInfoGain:
 class TestCreativity:
     def test_uniform_over_four(self):
         records = build_run([valid(f"t{i}", f"h{i}") for i in (1, 2, 3, 4)])
-        assert creativity_measures(records, H4, 0.1) == (4, 2.0)
+        assert creativity_measures(records, 0.1) == (4, 2.0)
 
     def test_single_hypothesis(self):
-        count, bits = creativity_measures(build_run([valid("t", "h1")]), H4)
+        count, bits = creativity_measures(build_run([valid("t", "h1")]))
         assert (count, bits) == (1, 0.0)
 
     def test_threshold(self):
         records = build_run(
             [valid("a", "h1")] * 3 + [valid("b", "h2")] * 2
         )
-        count, _ = creativity_measures(records, H4, 0.5)
+        count, _ = creativity_measures(records, 0.5)
         assert count == 1
 
     def test_no_valid_proposals(self):
-        assert creativity_measures(build_run([garbage("x")]), H4) == (0, 0.0)
-
-    def test_uniform_posterior_switch(self):
-        records = build_run([valid("t", "h1")])
-        count, bits = creativity_measures(records, H4, 0.1, posterior="uniform")
-        assert (count, bits) == (4, 2.0)
+        assert creativity_measures(build_run([garbage("x")])) == (0, 0.0)
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
-            creativity_measures([], H4, 1.0)
+            creativity_measures([], 1.0)
 
 
 class TestCoverage:
     def test_oracle_full_coverage(self):
         records = build_run([valid(f"t{i}", f"h{i}") for i in (1, 2, 3, 4)])
-        assert coverage_fraction(records, H4) == 1.0
+        assert score_run(records, H4).coverage == 1.0
 
     def test_repeater(self):
-        assert coverage_fraction(build_run([valid("t", "h1")] * 6), H4) == 0.25
+        assert score_run(build_run([valid("t", "h1")] * 6), H4).coverage == 0.25
 
     def test_zero_valid(self):
-        assert coverage_fraction(build_run([garbage("x")]), H4) == 0.0
+        assert score_run(build_run([garbage("x")]), H4).coverage == 0.0
+
+    def test_more_valid_forms_than_the_set_is_an_error(self):
+        # only a validator that breaks "valid => in H" can get here
+        records = build_run([valid(f"t{i}", f"h{i}") for i in range(5)])
+        with pytest.raises(ValueError, match="exceed the admissible set of 4"):
+            score_run(records, H4)
 
 
 class TestAggregate:
