@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -158,14 +159,25 @@ def _compose(name: str, children) -> BoolExpr:
 
 def canon_expr(expr: BoolExpr) -> BoolExpr:
     """Flatten nested identical operators, drop duplicate children, sort
-    children by serialization; applied bottom-up."""
+    children by serialization; applied bottom-up. A node that is already
+    canonical comes back itself, not rebuilt."""
     match expr:
         case Var() | Const():
             return expr
         case Not(child):
-            return Not(canon_expr(child))
+            canon = canon_expr(child)
+            return expr if canon is child else Not(canon)
         case Op(name, children):
-            return _compose(name, map(canon_expr, children))
+            canon = [canon_expr(c) for c in children]
+            keys = [c.fold.key for c in canon]
+            if (
+                len(keys) > 1
+                and all(map(operator.is_, canon, children))
+                and all(a < b for a, b in zip(keys, keys[1:]))  # sorted, unique
+                and not any(isinstance(c, Op) and c.name == name for c in canon)
+            ):
+                return expr
+            return _compose(name, canon)
     raise TypeError(f"not a BoolExpr: {expr!r}")
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from . import metrics
 from .errors import (
@@ -194,16 +194,37 @@ def _read_script(path) -> list[str]:
     return [line for line in lines if line.strip()]
 
 
+# sampler key -> (exact JSON types accepted, extra condition, description);
+# exact types, so a bool is never a number
+_SAMPLER_TYPES = {
+    "kind": ((str,), None, "a string"),
+    "seed": ((int, type(None)), None, "an integer or null"),
+    "max_tokens": ((int, type(None)), None, "an integer or null"),
+    "max_attempts": ((int,), lambda v: v >= 1, "an integer >= 1"),
+    "backoff": ((int, float), lambda v: v >= 0, "a number >= 0"),
+    "temperature": ((int, float, type(None)), None, "a number or null"),
+    "endpoint": ((str, type(None)), None, "a string or null"),
+    "model": ((str, type(None)), None, "a string or null"),
+    "script": ((list,), lambda v: all(type(s) is str for s in v), "a list of strings"),
+}
+
+
 def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
-    """The sampler section as a SamplerConfig; an unknown key is a ConfigError.
-    The environment variable holding the auth token is not configurable."""
+    """The sampler section as a SamplerConfig; an unknown key or a value of
+    the wrong type is a ConfigError naming the key. The environment variable
+    holding the auth token is not configurable."""
     data = dict(cfg.sampler)
-    kind = data.pop("kind", "oracle")
-    known = {f.name for f in fields(SamplerConfig)}
-    for key in data:
-        if key not in known:
+    for key, value in data.items():
+        if key not in _SAMPLER_TYPES:
             raise ConfigError(f"unknown sampler config key {key!r}")
-    if data.get("script") is not None:
+        types, condition, description = _SAMPLER_TYPES[key]
+        if type(value) not in types or (condition and not condition(value)):
+            raise ConfigError(
+                f"sampler config key {key!r} must be {description},"
+                f" not {json.dumps(value)}"
+            )
+    kind = data.pop("kind", "oracle")
+    if "script" in data:
         data["script"] = tuple(data["script"])
     return SamplerConfig(kind=_SAMPLER_ALIASES.get(kind, kind), **data)
 

@@ -8,6 +8,7 @@ remote endpoint is stateless, carrying the history inside the prompt.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import importlib.resources
@@ -15,6 +16,7 @@ import itertools
 import json
 import os
 import time
+import urllib.parse
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -24,12 +26,14 @@ from .errors import ConfigError, LogFormatError, SamplerExhausted, TransportFail
 from .tasks import get_task
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import ChatConnection
 
 DEFAULT_N_CAP = 100
 API_KEY_ENV = "HYPOSPACE_API_KEY"
 # the client errors a retry can cure: request timeout, rate limit
 RETRIED_4XX = frozenset({408, 429})
+# the longest a retry waits on a server's Retry-After
+RETRY_AFTER_CAP_S = 60
 
 
 def derive_seed(*parts) -> int:
@@ -142,28 +146,46 @@ class SamplerConfig:
 
     def remote_token(self) -> str:
         """The auth token for remote sampling, read from the environment; a
-        missing token or endpoint raises ConfigError."""
+        missing token, or an endpoint that is not an http(s) URL, raises
+        ConfigError."""
         token = os.environ.get(API_KEY_ENV)
         if not token:
             raise ConfigError(f"remote sampling needs an auth token in ${API_KEY_ENV}")
         if not self.endpoint:
             raise ConfigError("remote sampling needs an endpoint URL")
+        url = urllib.parse.urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"remote endpoint {self.endpoint!r} is not an http(s) URL")
         return token
 
 
+def _retry_after(headers) -> int | None:
+    """A response's ``Retry-After`` delay in seconds, capped at
+    RETRY_AFTER_CAP_S; None unless the header holds delta-seconds."""
+    value = (headers.get("Retry-After") or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(int(value), RETRY_AFTER_CAP_S)
+    return None
+
+
 def send_chat(
-    config: SamplerConfig, prompt: str, session: requests.Session | None = None
+    config: SamplerConfig, prompt: str, connection: ChatConnection | None = None
 ) -> tuple[str, dict]:
     """One chat-completions request; returns (content, usage).
 
-    Transport errors and 408, 429 and 5xx responses are retried with
-    exponential backoff up to ``max_attempts`` total tries, then raise
-    TransportFailure. Any other non-2xx response (a 4xx such as 401 or 404,
-    which a retry cannot fix) raises TransportFailure at once. With a
-    ``session``, requests reuse its kept-alive connection.
+    Transport errors and 408, 429 and 5xx responses are retried up to
+    ``max_attempts`` total tries, then raise TransportFailure. Before each
+    retry it sleeps the exponential backoff, or the delay a retried
+    response's ``Retry-After`` names (capped at RETRY_AFTER_CAP_S). Any other
+    4xx, which a retry cannot fix, raises TransportFailure at once. Requests
+    go over ``connection``, kept alive across calls, or over a connection
+    opened for this call alone.
     """
-    import requests  # only remote sampling loads the HTTP client
+    from . import transport  # only remote sampling loads the HTTP client
 
+    if connection is None:
+        with contextlib.closing(transport.ChatConnection(config.endpoint)) as own:
+            return send_chat(config, prompt, own)
     token = config.remote_token()
     payload: dict = {
         "model": config.model or "",
@@ -173,29 +195,30 @@ def send_chat(
         payload["temperature"] = config.temperature
     if config.max_tokens is not None:
         payload["max_tokens"] = config.max_tokens
-    headers = {"Authorization": f"Bearer {token}"}
+    body = json.dumps(payload).encode()
+    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
     last_error = "no attempt made"
+    delay = None
     for attempt in range(config.max_attempts):
         if attempt:
-            time.sleep(config.backoff * 2 ** (attempt - 1))
+            time.sleep(config.backoff * 2 ** (attempt - 1) if delay is None else delay)
+        delay = None
         try:
-            response = (session or requests).post(
-                config.endpoint, json=payload, headers=headers, timeout=120
-            )
-        except requests.RequestException as err:
+            status, response_headers, reply = connection.post(body, headers)
+        except transport.ERRORS as err:
             last_error = f"transport error: {err}"
             continue
-        status = response.status_code
         if 200 <= status < 300:
             try:
-                data = response.json()
+                data = json.loads(reply)
                 content = data["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise TransportFailure(f"malformed completion body: {err}")
             return content, data.get("usage", {}) or {}
-        last_error = f"HTTP {status}: {response.text[:200]}"
+        last_error = f"HTTP {status}: {reply.decode('utf-8', 'replace')[:200]}"
         if 400 <= status < 500 and status not in RETRIED_4XX:
             raise TransportFailure(f"not retried; {last_error}")
+        delay = _retry_after(response_headers)
     raise TransportFailure(
         f"{config.max_attempts} attempts exhausted; last error: {last_error}"
     )
@@ -248,26 +271,26 @@ class ScriptedSampler:
 
 
 class RemoteSampler:
-    """One stateless chat request per proposal, all over one HTTP session
-    (one kept-alive connection per run); usage counters accumulate."""
+    """One stateless chat request per proposal, all over one kept-alive
+    connection per run; usage counters accumulate."""
 
     def __init__(self, config: SamplerConfig):
-        import requests
+        from .transport import ChatConnection
 
         self._config = config
-        self._session = requests.Session()
+        self._connection = ChatConnection(config.endpoint)
         self.total_tokens = 0
 
     def next_proposal(self, context: SamplerContext) -> str:
         content, usage = send_chat(
-            self._config, render_prompt(context), session=self._session
+            self._config, render_prompt(context), connection=self._connection
         )
         self.total_tokens += int(usage.get("total_tokens", 0) or 0)
         return content
 
     def close(self):
-        """Close the run's HTTP session and its connection."""
-        self._session.close()
+        """Close the run's connection."""
+        self._connection.close()
 
 
 def make_sampler(config: SamplerConfig, task, instance):

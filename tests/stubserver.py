@@ -10,12 +10,15 @@ class StubChatServer:
     with keep-alive.
 
     Script items are either ("content", text) for a 200 completion or
-    ("status", code) for a bare error response. Requests beyond the script
-    repeat the last item. All request payloads are recorded, with the
-    client's (host, port), so tests can count connections.
+    ("status", code) for a bare error response, which may carry a dict of
+    extra headers as a third element. Requests beyond the script repeat the
+    last item. All request payloads are recorded, with the request target
+    and the client's (host, port), so tests can count connections. With
+    ``drop_after_response`` the server closes each connection after its
+    response without saying so in a header, as an idle timeout does.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, drop_after_response=False):
         self.script = list(script)
         self.requests = []
         outer = self
@@ -23,12 +26,16 @@ class StubChatServer:
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
-            def _reply(self, code, body, content_type):
+            def _reply(self, code, body, content_type, headers=None):
                 self.send_response(code)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in (headers or {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
+                if drop_after_response:
+                    self.close_connection = True
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -36,12 +43,13 @@ class StubChatServer:
                 outer.requests.append(
                     {"path": self.path, "body": body,
                      "auth": self.headers.get("Authorization"),
+                     "proxy_auth": self.headers.get("Proxy-Authorization"),
                      "client": self.client_address}
                 )
                 index = min(len(outer.requests) - 1, len(outer.script) - 1)
-                kind, value = outer.script[index]
+                kind, value, *headers = outer.script[index]
                 if kind == "status":
-                    self._reply(value, b"scripted error", "text/plain")
+                    self._reply(value, b"scripted error", "text/plain", *headers)
                     return
                 payload = {
                     "choices": [{"message": {"content": value}}],

@@ -90,6 +90,11 @@ class TestCanon:
     def test_no_de_morgan(self):
         assert canon_key("NOT (x AND y)") != canon_key("NOT x OR NOT y")
 
+    @pytest.mark.parametrize("allow_constants", [False, True])
+    def test_canonical_forms_come_back_unrebuilt(self, allow_constants):
+        for form in enumerate_exprs(OPS, 2, allow_constants):
+            assert canon_expr(form) is form
+
 
 class TestEnumerate:
     def test_depth_zero(self):

@@ -226,6 +226,48 @@ class TestRun:
         assert "unknown sampler config key 'sed'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "x"),
+            ("seed", True),
+            ("seed", 1.5),
+            ("max_tokens", "64"),
+            ("max_tokens", False),
+            ("max_attempts", 0),
+            ("max_attempts", None),
+            ("max_attempts", 2.0),
+            ("backoff", -0.5),
+            ("backoff", "1"),
+            ("backoff", True),
+            ("temperature", "hot"),
+            ("temperature", False),
+            ("endpoint", 5),
+            ("model", ["m"]),
+            ("script", "EDGES: none"),
+            ("script", ["EDGES: none", 3]),
+            ("kind", 7),
+        ],
+    )
+    def test_sampler_value_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, capsys, key, value
+    ):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o"),
+                  "sampler": {"kind": "oracle", key: value}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(path)) == 3
+        assert f"sampler config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_sampler_field_has_a_type_rule(self):
+        from dataclasses import fields
+
+        from hyposet.cli import _SAMPLER_TYPES
+
+        assert set(_SAMPLER_TYPES) == {f.name for f in fields(harness.SamplerConfig)}
+
     def test_token_variable_is_not_a_sampler_key(self, tmp_path, capsys):
         config = {"task": "causal", "difficulty": ["1"], "count": 1,
                   "out": str(tmp_path / "o"),

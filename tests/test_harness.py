@@ -1,6 +1,13 @@
 import dataclasses
+import http.client
 import importlib.resources
 import json
+import os
+import socket
+import ssl
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -24,6 +31,8 @@ from hyposet.harness import (
 from hyposet.tasks import get_task
 
 from stubserver import StubChatServer
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy")
 
 
 def context_for(task, instance, history=(), attempt=None):
@@ -462,6 +471,191 @@ class TestSendChat:
         assert log.complete and log.summary.vr == 1.0
         assert len(server.requests) == 4  # three proposals and one retry
         assert len({r["client"] for r in server.requests}) == 1
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays send_chat sleeps before its retries, recorded, not slept."""
+    delays = []
+    monkeypatch.setattr(harness.time, "sleep", delays.append)
+    return delays
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """Name lookups of anything but 127.0.0.1 fail at once, no proxy is set
+    and the auth token is: a test can name a host without reaching a
+    network. Returns the (host, port) of every lookup."""
+    real = socket.getaddrinfo
+    lookups = []
+
+    def lookup(host, port, *args, **kwargs):
+        lookups.append((host, port))
+        if host != "127.0.0.1":
+            raise socket.gaierror(socket.EAI_NONAME, f"no lookups of {host} in tests")
+        return real(host, port, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", lookup)
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv(API_KEY_ENV, "t")
+    return lookups
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "status, value, delay",
+        [
+            (503, "2", 2),
+            (429, " 0 ", 0),
+            (408, "3600", harness.RETRY_AFTER_CAP_S),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # not delta-seconds
+            (503, "1.5", 0.25),
+            (503, "-1", 0.25),
+        ],
+    )
+    def test_delay_replaces_the_backoff(self, offline, sleeps, status, value, delay):
+        script = [("status", status, {"Retry-After": value}), ("content", "ok")]
+        with StubChatServer(script) as server:
+            config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.25)
+            assert send_chat(config, "p")[0] == "ok"
+        assert sleeps == [delay]
+
+    def test_each_retry_reads_its_own_response(self, offline, sleeps):
+        script = [("status", 503, {"Retry-After": "7"}), ("status", 500),
+                  ("content", "ok")]
+        with StubChatServer(script) as server:
+            config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.25)
+            assert send_chat(config, "p")[0] == "ok"
+        assert sleeps == [7, 0.5]
+
+
+class TestTransport:
+    def test_connection_dropped_after_each_response_costs_no_attempt(
+        self, offline, sleeps
+    ):
+        task = get_task("causal")
+        inst = task.generate(seed=11, level="1")
+        texts = list(task.admissible_texts(inst))[:4]
+        script = [("content", t) for t in texts]
+        with StubChatServer(script, drop_after_response=True) as server:
+            config = SamplerConfig(kind="remote", endpoint=server.url, max_attempts=1)
+            sampler = RemoteSampler(config)
+            try:
+                log = run_instance(task, inst, sampler, config, n_override=len(texts))
+            finally:
+                sampler.close()
+        assert log.complete and log.summary.vr == 1.0
+        assert len(server.requests) == len(texts)
+        assert len({r["client"] for r in server.requests}) == len(texts)
+        assert sleeps == []
+
+    def test_http_proxy_gets_the_absolute_form_target(self, offline, monkeypatch):
+        endpoint = "http://chat.invalid/v1/chat/completions?api-version=1"
+        with StubChatServer([("content", "via proxy")]) as server:
+            proxy = server.url.split("/v1/")[0].replace("//", "//user:p%40ss@")
+            monkeypatch.setenv("http_proxy", proxy)
+            config = SamplerConfig(kind="remote", endpoint=endpoint)
+            assert send_chat(config, "p")[0] == "via proxy"
+        assert [r["path"] for r in server.requests] == [endpoint]
+        assert server.requests[0]["proxy_auth"] == "Basic dXNlcjpwQHNz"  # user:p@ss
+        assert server.requests[0]["auth"] == "Bearer t"
+
+    def test_no_proxy_bypasses_the_proxy(self, offline, monkeypatch, sleeps):
+        with StubChatServer([("content", "never")]) as server:
+            monkeypatch.setenv("http_proxy", server.url.split("/v1/")[0])
+            monkeypatch.setenv("no_proxy", "chat.invalid")
+            config = SamplerConfig(
+                kind="remote", endpoint="http://chat.invalid/v1/chat/completions"
+            )
+            with pytest.raises(TransportFailure, match="transport error"):
+                send_chat(config, "p")
+        assert server.requests == []
+
+    def test_refused_port_fails_after_max_attempts(self, offline, sleeps):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = SamplerConfig(
+            kind="remote", endpoint=f"http://127.0.0.1:{port}/v1", max_attempts=3
+        )
+        with pytest.raises(TransportFailure, match="3 attempts exhausted.*transport error"):
+            send_chat(config, "p")
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "endpoint", ["ftp://chat.invalid/v1", "chat.invalid/v1", "http:///v1"]
+    )
+    def test_endpoint_must_be_an_http_url(self, offline, endpoint):
+        config = SamplerConfig(kind="remote", endpoint=endpoint)
+        with pytest.raises(ConfigError, match="not an http"):
+            send_chat(config, "p")
+        assert offline == []
+
+    @pytest.mark.parametrize(
+        "endpoint, target",
+        [
+            ("http://[::1]/v1", ("::1", 80)),
+            ("https://[::1]/v1", ("::1", 443)),
+            ("http://chat.invalid:8080/v1", ("chat.invalid", 8080)),
+        ],
+    )
+    def test_connects_to_the_endpoint_port(self, offline, sleeps, endpoint, target):
+        config = SamplerConfig(kind="remote", endpoint=endpoint, max_attempts=1)
+        with pytest.raises(TransportFailure, match="transport error"):
+            send_chat(config, "p")
+        assert offline == [target]
+
+    def test_https_verifies_the_server(self, offline, monkeypatch, sleeps):
+        contexts = []
+        init = http.client.HTTPSConnection.__init__
+
+        def recording(self, *args, context=None, **kwargs):
+            contexts.append(context)
+            init(self, *args, context=context, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPSConnection, "__init__", recording)
+        config = SamplerConfig(
+            kind="remote", endpoint="https://chat.invalid/v1", max_attempts=1
+        )
+        with pytest.raises(TransportFailure, match="transport error"):
+            send_chat(config, "p")
+        (context,) = contexts
+        assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+
+    def test_https_tunnels_through_the_proxy(self, offline, monkeypatch, sleeps):
+        # the stub answers CONNECT with 501, which ends the tunnel attempt
+        with StubChatServer([("content", "never")]) as server:
+            monkeypatch.setenv("https_proxy", server.url.split("/v1/")[0])
+            config = SamplerConfig(
+                kind="remote", endpoint="https://chat.invalid/v1", max_attempts=1
+            )
+            with pytest.raises(TransportFailure, match="Tunnel connection failed: 501"):
+                send_chat(config, "p")
+        assert server.requests == []
+
+    def test_remote_run_loads_no_third_party_http_client(self, tmp_path):
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        script = textwrap.dedent(f"""
+            import sys
+            from stubserver import StubChatServer
+            from hyposet.cli import main
+            with StubChatServer([("content", "EDGES: none")]) as server:
+                code = main(["run", "--task", "causal", "--difficulty", "1",
+                             "--count", "1", "--n", "2", "--sampler", "remote",
+                             "--endpoint", server.url, "--out", {str(tmp_path)!r},
+                             "--deterministic"])
+            print(code, sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k.lower() not in PROXY_VARIABLES}
+        env.update(PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+                   **{API_KEY_ENV: "t"})
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
 
 class TestDeriveSeed:
