@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import metrics
 from .errors import (
@@ -52,14 +52,6 @@ ENTROPY_COLUMNS = ["instance_id", "t", "H_t", "delta_I_t"]
 
 _SAMPLER_ALIASES = {"random": "random_valid"}
 
-_JSON_TYPES = {
-    bool: "true or false",
-    int: "an integer",
-    str: "a string",
-    list: "a list of strings",
-    dict: "an object",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -70,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class SuiteConfig:
-    """Everything one workflow needs; mirrors the CLI flags in JSON."""
+    """Everything one workflow needs, as a JSON config file holds it; the
+    sampler and generator flags fill the ``sampler`` and ``generate``
+    sections."""
 
     task: str = "causal"
     difficulty: list[str] = field(default_factory=list)
@@ -84,38 +78,24 @@ class SuiteConfig:
     generate: dict = field(default_factory=dict)
 
     def digest(self) -> str:
-        payload = asdict(self)
-        payload.pop("out")  # the experiment's identity, not its location
+        # the experiment's identity, not its location
+        payload = {k: v for k, v in vars(self).items() if k != "out"}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
-        """The config in a JSON file; a file that is not one JSON object, an
-        unknown key, or a value whose type differs from the key's default
-        (an int or null for ``n_override``, a list of strings for
-        ``difficulty``) is a ConfigError."""
+        """The config in a JSON file; a file that is not one JSON object, or
+        a key or value that breaks ``_SUITE_TYPES``, is a ConfigError. The
+        ``digest`` that ``run`` writes into config.json is dropped, because
+        it is always recomputed."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("a config file holds one JSON object")
-        cfg = cls()
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            default = getattr(cfg, key)
-            expected = int if default is None else type(default)
-            # exact types: a bool is no int, and only n_override may be null
-            ok = type(value) is expected or (default is None and value is None)
-            if key == "difficulty":
-                ok = ok and all(isinstance(level, str) for level in value)
-            if not ok:
-                raise ConfigError(
-                    f"config key {key!r} must be {_JSON_TYPES[expected]},"
-                    f" not {json.dumps(value)}"
-                )
-            setattr(cfg, key, value)
-        return cfg
+        _check("", _SUITE_TYPES, data)
+        data.pop("digest", None)
+        return cls(**data)
 
 
 def _config_from_args(args) -> SuiteConfig:
@@ -153,6 +133,7 @@ def _config_from_args(args) -> SuiteConfig:
         value = getattr(args, flag, None)
         if value is not None:
             cfg.generate[key] = value
+    _check("generate ", _GENERATE_TYPES[cfg.task], cfg.generate)
     if (cfg.task == "causal" and "nodes" in cfg.generate) or (
         cfg.task == "voxel" and "occupied" in cfg.generate
     ):
@@ -194,35 +175,69 @@ def _read_script(path) -> list[str]:
     return [line for line in lines if line.strip()]
 
 
-# sampler key -> (exact JSON types accepted, extra condition, description);
-# exact types, so a bool is never a number
+# Each section's rules: key -> (exact JSON types accepted, extra condition,
+# description); exact types, so a bool is never a number.
+_STRINGS = ((list,), lambda v: all(type(s) is str for s in v), "a list of strings")
+_AT_LEAST_1 = ((int,), lambda v: v >= 1, "an integer >= 1")
+
+_SUITE_TYPES = {
+    "task": ((str,), None, "a string"),
+    "difficulty": _STRINGS,
+    "count": ((int,), None, "an integer"),
+    "seed": ((int,), None, "an integer"),
+    "out": ((str,), None, "a string"),
+    "deterministic": ((bool,), None, "true or false"),
+    "n_cap": ((int,), None, "an integer"),
+    "n_override": ((int, type(None)), None, "an integer"),
+    "sampler": ((dict,), None, "an object"),
+    "generate": ((dict,), None, "an object"),
+    "digest": ((str,), None, "a string"),  # written by run, never read
+}
+
 _SAMPLER_TYPES = {
     "kind": ((str,), None, "a string"),
     "seed": ((int, type(None)), None, "an integer or null"),
     "max_tokens": ((int, type(None)), None, "an integer or null"),
-    "max_attempts": ((int,), lambda v: v >= 1, "an integer >= 1"),
+    "max_attempts": _AT_LEAST_1,
     "backoff": ((int, float), lambda v: v >= 0, "a number >= 0"),
     "temperature": ((int, float, type(None)), None, "a number or null"),
     "endpoint": ((str, type(None)), None, "a string or null"),
     "model": ((str, type(None)), None, "a string or null"),
-    "script": ((list,), lambda v: all(type(s) is str for s in v), "a list of strings"),
+    "script": _STRINGS,
 }
+
+# per task: the keyword options of its ``generate``
+_GENERATE_TYPES = {
+    "causal": {"nodes": _AT_LEAST_1, "interventions": _AT_LEAST_1},
+    "voxel": {
+        "grid": _AT_LEAST_1,
+        "height": _AT_LEAST_1,
+        "occupied": ((int,), lambda v: v >= 0, "an integer >= 0"),
+    },
+    "bool": {},
+}
+
+
+def _check(section: str, rules: dict, data: dict) -> None:
+    """Raise a ConfigError naming the first key of ``data`` that ``rules``
+    lacks or whose value breaks its rule; ``section`` prefixes the message."""
+    for key, value in data.items():
+        if key not in rules:
+            raise ConfigError(f"unknown {section}config key {key!r}")
+        types, condition, description = rules[key]
+        if type(value) not in types or (condition and not condition(value)):
+            raise ConfigError(
+                f"{section}config key {key!r} must be {description},"
+                f" not {json.dumps(value)}"
+            )
 
 
 def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
     """The sampler section as a SamplerConfig; an unknown key or a value of
     the wrong type is a ConfigError naming the key. The environment variable
     holding the auth token is not configurable."""
+    _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
     data = dict(cfg.sampler)
-    for key, value in data.items():
-        if key not in _SAMPLER_TYPES:
-            raise ConfigError(f"unknown sampler config key {key!r}")
-        types, condition, description = _SAMPLER_TYPES[key]
-        if type(value) not in types or (condition and not condition(value)):
-            raise ConfigError(
-                f"sampler config key {key!r} must be {description},"
-                f" not {json.dumps(value)}"
-            )
     kind = data.pop("kind", "oracle")
     if "script" in data:
         data["script"] = tuple(data["script"])
@@ -349,7 +364,7 @@ def cmd_run(args) -> int:
     os.makedirs(log_dir, exist_ok=True)
     _dump_json(
         os.path.join(cfg.out, "config.json"),
-        {**asdict(cfg), "digest": cfg.digest()},
+        {**vars(cfg), "digest": cfg.digest()},
     )
     logs = run_suite(
         cfg.task,
@@ -463,15 +478,11 @@ def cmd_report(args) -> int:
         }
         for sampler, rows in rows_by_sampler.items()
     }
-    cells = sorted(
-        {key for table in aggregated.values() for key in table},
-        key=lambda k: (
-            metrics.TASK_ORDER.index(k[0]) if k[0] in metrics.TASK_ORDER else 99,
-            order.get(k[1], 99),
-            k[1],
-            ("vr", "nr", "rr").index(k[2]),
-        ),
-    )
+    every_row = [row for rows in rows_by_sampler.values() for row in rows]
+    cells = [
+        (row.task, row.difficulty, row.metric)
+        for row in metrics.aggregate(every_row, difficulty_order=order)
+    ]
 
     lines = ["# Run report", ""]
     if digests:
@@ -539,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
         p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--config", help="JSON config file mirroring the flags")
+        p.add_argument("--config", help="JSON config file, such as a run's config.json")
         p.add_argument("--nodes", type=int, help="causal: node count override")
         p.add_argument(
             "--interventions", type=int, help="causal: observed interventions"

@@ -127,18 +127,7 @@ class SamplerConfig:
     backoff: float = 0.5
 
     def digest(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "script": list(self.script) if self.script is not None else None,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "max_attempts": self.max_attempts,
-            "backoff": self.backoff,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+        blob = json.dumps(vars(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def label(self) -> str:
@@ -177,9 +166,9 @@ def send_chat(
     ``max_attempts`` total tries, then raise TransportFailure. Before each
     retry it sleeps the exponential backoff, or the delay a retried
     response's ``Retry-After`` names (capped at RETRY_AFTER_CAP_S). Any other
-    4xx, which a retry cannot fix, raises TransportFailure at once. Requests
-    go over ``connection``, kept alive across calls, or over a connection
-    opened for this call alone.
+    non-2xx status, a 3xx or 4xx that a retry cannot fix, raises
+    TransportFailure at once. Requests go over ``connection``, kept alive
+    across calls, or over a connection opened for this call alone.
     """
     from . import transport  # only remote sampling loads the HTTP client
 
@@ -216,7 +205,7 @@ def send_chat(
                 raise TransportFailure(f"malformed completion body: {err}")
             return content, data.get("usage", {}) or {}
         last_error = f"HTTP {status}: {reply.decode('utf-8', 'replace')[:200]}"
-        if 400 <= status < 500 and status not in RETRIED_4XX:
+        if status < 500 and status not in RETRIED_4XX:
             raise TransportFailure(f"not retried; {last_error}")
         delay = _retry_after(response_headers)
     raise TransportFailure(
@@ -444,15 +433,7 @@ def run_instance(
             if writer:
                 line = {
                     "type": "summary",
-                    "vr": summary.vr,
-                    "nr": summary.nr,
-                    "rr": summary.rr,
-                    "coverage": summary.coverage,
-                    "rr_at_k": list(summary.rr_at_k),
-                    "failure_counts": summary.failure_counts,
-                    "c_count": summary.c_count,
-                    "c_entropy_bits": summary.c_entropy_bits,
-                    "token_count": summary.token_count,
+                    **vars(summary),
                     "n": n,
                     "h_o_size": count,
                     "complete": True,

@@ -63,7 +63,12 @@ class StubChatServer:
         # a thread per connection: a kept-alive connection does not hold up
         # the next client or shutdown
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval, so that leaving the block does not idle
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
+        )
 
     def __enter__(self):
         self._thread.start()

@@ -201,6 +201,24 @@ class TestRun:
         assert saved["digest"] == SuiteConfig(**{k: v for k, v in config.items()}).digest()
 
 
+    def test_a_runs_config_json_replays_it(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(
+            "run", "--task", "voxel", "--tp", "2", "--count", "2", "--seed", "4",
+            "--sampler", "random", "--n", "12", "--out", str(first),
+            "--deterministic",
+        ) == 0
+        config = str(first / "config.json")
+        assert run_cli("gen", "--config", config, "--out", str(second)) == 0
+        assert len(list((second / "instances").glob("*.json"))) == 2
+        assert run_cli("run", "--config", config, "--out", str(second)) == 0
+        logs = sorted(p.name for p in (first / "logs").glob("*.jsonl"))
+        assert len(logs) == 2
+        assert sorted(p.name for p in (second / "logs").glob("*.jsonl")) == logs
+        names = ["summary.csv", "entropy_series.csv", *(f"logs/{n}" for n in logs)]
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
     def test_overlong_bool_emission_is_recorded(self, tmp_path):
         script = tmp_path / "chain.txt"
         script.write_text("EXPR: " + " AND ".join(["x"] * 334) + "\n")
@@ -267,6 +285,17 @@ class TestRun:
         from hyposet.cli import _SAMPLER_TYPES
 
         assert set(_SAMPLER_TYPES) == {f.name for f in fields(harness.SamplerConfig)}
+
+    @pytest.mark.parametrize("task", ["causal", "voxel", "bool"])
+    def test_every_generator_option_has_a_type_rule(self, task):
+        import inspect
+
+        from hyposet.cli import _GENERATE_TYPES
+        from hyposet.tasks import get_task
+
+        parameters = inspect.signature(get_task(task).generate).parameters.values()
+        options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+        assert set(_GENERATE_TYPES[task]) == options
 
     def test_token_variable_is_not_a_sampler_key(self, tmp_path, capsys):
         config = {"task": "causal", "difficulty": ["1"], "count": 1,
@@ -393,18 +422,33 @@ class TestRun:
             ("generate", [], "an object"),
             ("n_override", "5", "an integer"),
             ("n_override", False, "an integer"),
+            # generator options: flags, the file's generate section, message
+            ("--task causal", {"nodes": "5"},
+             "generate config key 'nodes' must be an integer >= 1, not \"5\""),
+            ("--task causal", {"nodez": 5}, "unknown generate config key 'nodez'"),
+            ("--task voxel", {"occupied": -1},
+             "generate config key 'occupied' must be an integer >= 0, not -1"),
+            ("--task voxel --nodes 4", {}, "unknown generate config key 'nodes'"),
+            ("--task bool --difficulty basic --grid 4", {},
+             "unknown generate config key 'grid'"),
         ],
     )
     def test_config_value_of_the_wrong_type_writes_nothing(
         self, tmp_path, capsys, key, value, expected
     ):
         config = {"task": "causal", "difficulty": ["1"], "count": 1,
-                  "out": str(tmp_path / "o"), key: value}
+                  "out": str(tmp_path / "o")}
+        flags = []
+        if key.startswith("--"):
+            flags, config["generate"] = key.split(), value
+        else:
+            config[key] = value
+            expected = f"config key {key!r} must be {expected}"
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert run_cli("run", "--config", str(path)) == 3
-        err = capsys.readouterr().err
-        assert f"config key {key!r} must be {expected}" in err
+        for command in ("gen", "run"):
+            assert run_cli(command, "--config", str(path), *flags) == 3
+            assert expected in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_that_is_not_an_object_writes_nothing(self, tmp_path, capsys):

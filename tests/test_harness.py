@@ -403,7 +403,7 @@ class TestSendChat:
             assert send_chat(config, "p")[0] == "recovered"
             assert len(server.requests) == 2
 
-    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 301, 307])
     def test_client_error_fails_at_once(self, monkeypatch, status):
         monkeypatch.setenv(API_KEY_ENV, "t")
         with StubChatServer([("status", status), ("content", "never")]) as server:
