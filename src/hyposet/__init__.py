@@ -65,17 +65,6 @@ from .metrics import (
     score_run,
 )
 from .tasks import get_task, load_instance
-from .voxel import (
-    VoxelInstance,
-    canon_stack,
-    check_gravity,
-    count_admissible,
-    enumerate_admissible_stacks,
-    generate_voxel_instance,
-    parse_layers,
-    project,
-    serialize_stack,
-    validate_stack,
-)
+from .voxel import VoxelInstance, count_admissible, generate_voxel_instance
 
 __version__ = "0.1.0"

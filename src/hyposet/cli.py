@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -138,6 +139,7 @@ def _config_from_args(args) -> SuiteConfig:
         cfg.task == "voxel" and "occupied" in cfg.generate
     ):
         cfg.difficulty = ["custom"]
+    _check_generate_limits(cfg, task)
     # sampler
     kind = getattr(args, "sampler", None)
     if kind is not None:
@@ -150,6 +152,7 @@ def _config_from_args(args) -> SuiteConfig:
     script_path = getattr(args, "script", None)
     if script_path is not None:
         cfg.sampler["script"] = _read_script(script_path)
+    _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
     return cfg
 
 
@@ -217,6 +220,13 @@ _GENERATE_TYPES = {
     "bool": {},
 }
 
+# per task: (option, the option that bounds it, the bound, the bound as
+# text); checked at each level by ``_check_generate_limits``
+_GENERATE_LIMITS = {
+    "causal": ("interventions", "nodes", lambda nodes: nodes, "nodes"),
+    "voxel": ("occupied", "grid", lambda grid: grid * grid, "grid * grid"),
+}
+
 
 def _check(section: str, rules: dict, data: dict) -> None:
     """Raise a ConfigError naming the first key of ``data`` that ``rules``
@@ -232,11 +242,36 @@ def _check(section: str, rules: dict, data: dict) -> None:
             )
 
 
+def _check_generate_limits(cfg: SuiteConfig, task) -> None:
+    """Raise a ConfigError naming the option when, at some level, it exceeds
+    the bound ``_GENERATE_LIMITS`` sets. An option not given takes the
+    default of ``task.generate``; a default of None stands for the level's
+    own parameter (for causal ``interventions``, the node count)."""
+    if cfg.task not in _GENERATE_LIMITS:
+        return
+    key, bounding, bound_of, bound_text = _GENERATE_LIMITS[cfg.task]
+    defaults = inspect.signature(task.generate).parameters
+
+    def option(name, level):
+        value = cfg.generate.get(name, defaults[name].default)
+        return task.level_params.get(level) if value is None else value
+
+    for level in cfg.difficulty:
+        value, limit = option(key, level), option(bounding, level)
+        if value is None or limit is None:
+            continue  # "custom" without the option that sets it
+        if value > bound_of(limit):
+            where = "" if level == "custom" else f"at difficulty {level!r}, "
+            raise ConfigError(
+                f"{where}generate config key {key!r} must be at most"
+                f" {bound_text} = {bound_of(limit)}, not {value}"
+            )
+
+
 def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
-    """The sampler section as a SamplerConfig; an unknown key or a value of
-    the wrong type is a ConfigError naming the key. The environment variable
-    holding the auth token is not configurable."""
-    _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
+    """The sampler section, which ``_config_from_args`` checked, as a
+    SamplerConfig. The environment variable holding the auth token is not
+    configurable."""
     data = dict(cfg.sampler)
     kind = data.pop("kind", "oracle")
     if "script" in data:

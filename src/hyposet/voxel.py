@@ -7,7 +7,9 @@ occupied cells therefore admits exactly ``k**q`` stacks at height budget k.
 Generators produce square R = C = M grids; the checkers accept any R x C.
 The task adapter judges and emits stacks as canonical strings (see
 ``layers_settled`` and ``texts_from_heights``); the tensor functions are
-their reference.
+their reference. Only the tensor functions use numpy, and each imports it
+when called, so generating, judging and counting run without it; the
+tensor reference needs the ``test`` extra.
 """
 
 from __future__ import annotations
@@ -16,15 +18,19 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EnumerationLimit, ParseFailure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUM_CAP = 10_000
 
 
 def _as_binary_array(cells, ndim: int) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(cells, dtype=np.uint8)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d 0/1 array, got shape {arr.shape}")
@@ -35,6 +41,8 @@ def _as_binary_array(cells, ndim: int) -> np.ndarray:
 
 def project(stack) -> np.ndarray:
     """Top-down occupancy: 1 where any layer of the column is filled."""
+    import numpy as np
+
     arr = _as_binary_array(stack, 3)
     return arr.any(axis=0).astype(np.uint8)
 
@@ -59,20 +67,35 @@ def validate_stack(stack, projection) -> bool:
 
 
 def count_admissible(projection, k: int) -> int:
-    """k ** (occupied cells); exact in arbitrary precision."""
+    """k ** (occupied cells); exact in arbitrary precision. ``projection``
+    is a 2-d 0/1 grid: nested lists or tuples, or a numpy array."""
     if k < 1:
         raise ValueError("height budget k must be >= 1")
-    proj = _as_binary_array(projection, 2)
-    return int(k) ** int(proj.sum())
+    try:
+        rows = [list(row) for row in projection]
+    except TypeError:
+        raise ValueError("expected a 2-d 0/1 array, got a 1-d one") from None
+    cells = [v for row in rows for v in row]
+    if any(hasattr(v, "__len__") for v in cells):
+        raise ValueError("expected a 2-d 0/1 array, got more dimensions")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("expected a 2-d 0/1 array, got ragged rows")
+    if not all(v in (0, 1) for v in cells):
+        raise ValueError("cells must be 0/1")
+    return int(k) ** sum(1 for v in cells if v)
 
 
 def occupied_columns(projection) -> list[tuple[int, int]]:
     """Occupied (row, col) positions in row-major order."""
+    import numpy as np
+
     proj = _as_binary_array(projection, 2)
     return [tuple(ij) for ij in np.argwhere(proj)]
 
 
 def stack_from_heights(projection, k: int, heights) -> np.ndarray:
+    import numpy as np
+
     proj = _as_binary_array(projection, 2)
     arr = np.zeros((k,) + proj.shape, dtype=np.uint8)
     for (i, j), h in zip(occupied_columns(proj), heights):
@@ -110,6 +133,8 @@ def canon_stack(stack) -> str:
 
 
 def stack_from_canon(canon: str) -> np.ndarray:
+    import numpy as np
+
     layers = [
         [[int(ch) for ch in row] for row in layer.split("/")]
         for layer in canon.split("|")
@@ -204,6 +229,8 @@ def parse_layer_rows(text: str) -> tuple[tuple[str, ...], ...]:
 def parse_layers(text: str) -> np.ndarray:
     """Parse the ``LAYERS:`` schema back into a (K, R, C) tensor; the
     grammar and its errors are those of ``parse_layer_rows``."""
+    import numpy as np
+
     layers = parse_layer_rows(text)
     arr = np.asarray(
         [[[int(ch) for ch in row] for row in layer] for layer in layers],
@@ -233,6 +260,8 @@ class VoxelInstance:
 
     @property
     def projection_array(self) -> np.ndarray:
+        import numpy as np
+
         arr = np.asarray(self.projection, dtype=np.uint8)
         arr.setflags(write=False)
         return arr
@@ -252,11 +281,12 @@ def generate_voxel_instance(
     if not 0 <= occupied_count <= m * m:
         raise ValueError("occupied_count must be within the grid")
     rng = random.Random(seed)
-    grid = np.zeros((m, m), dtype=np.uint8)
+    grid = [[0] * m for _ in range(m)]
     for pos in rng.sample(range(m * m), occupied_count):
-        grid[divmod(pos, m)] = 1
+        row, col = divmod(pos, m)
+        grid[row][col] = 1
     return VoxelInstance(
-        projection=tuple(tuple(int(v) for v in row) for row in grid),
+        projection=tuple(map(tuple, grid)),
         k=k,
         count=count_admissible(grid, k),
         difficulty=difficulty or f"tp={occupied_count}",

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -451,6 +454,58 @@ class TestRun:
             assert expected in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ("--task voxel --tp 20",
+             "generate config key 'occupied' must be at most grid * grid = 9,"
+             " not 20"),
+            ("--task voxel --tp 5 --grid 2",
+             "generate config key 'occupied' must be at most grid * grid = 4,"
+             " not 5"),
+            ("--task voxel --grid 1",
+             "at difficulty '2', generate config key 'occupied' must be at most"
+             " grid * grid = 1, not 2"),
+            ("--task causal --nodes 3 --interventions 9",
+             "generate config key 'interventions' must be at most nodes = 3,"
+             " not 9"),
+            ("--task causal --interventions 5",
+             "at difficulty '1', generate config key 'interventions' must be at"
+             " most nodes = 4, not 5"),
+        ],
+    )
+    def test_generator_limit_between_keys_writes_nothing(
+        self, tmp_path, capsys, flags, expected
+    ):
+        out = tmp_path / "o"
+        for command in ("gen", "run"):
+            assert run_cli(command, *flags.split(), "--out", str(out)) == 3
+            assert expected in capsys.readouterr().err
+        # no instances/, config.json or logs/
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, count",
+        [("--task voxel --tp 9", 3 ** 9), ("--task voxel --grid 2 --tp 4", 3 ** 4),
+         ("--task causal --nodes 3 --interventions 3", None)],
+    )
+    def test_generator_limits_admit_their_bound(self, tmp_path, flags, count):
+        out = tmp_path / "o"
+        assert run_cli("gen", *flags.split(), "--count", "1", "--out", str(out)) == 0
+        (path,) = (out / "instances").glob("*.json")
+        if count is not None:
+            assert json.loads(path.read_text())["count"] == count
+
+    def test_gen_checks_the_sampler_section(self, tmp_path, capsys):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o"), "sampler": {"sed": 5}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for command in ("gen", "run"):
+            assert run_cli(command, "--config", str(path)) == 3
+            assert "unknown sampler config key 'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_that_is_not_an_object_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -577,3 +632,52 @@ class TestExitCodes:
 
     def test_unknown_flag(self):
         assert run_cli("gen", "--frobnicate") == 1
+
+
+class TestWithoutNumpy:
+    def test_no_path_loads_numpy(self, tmp_path):
+        """Every workflow runs in a process where ``import numpy`` fails."""
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        script = textwrap.dedent(f"""
+            import json, os, sys
+
+            class NoNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "numpy":
+                        raise ImportError("numpy is not installed")
+
+            sys.meta_path.insert(0, NoNumpy())
+            import hyposet
+            from hyposet.cli import main
+            from hyposet.harness import rescore_log
+            from hyposet.voxel import texts_from_heights
+
+            out = {str(tmp_path)!r}
+            codes = []
+            for task, difficulty in (("causal", "1,2"), ("voxel", "1,3"),
+                                     ("bool", "basic,extended")):
+                base = ["--task", task, "--difficulty", difficulty, "--count", "1",
+                        "--seed", "5", "--deterministic"]
+                codes.append(main(["gen", *base, "--out", os.path.join(out, task)]))
+                for sampler in ("oracle", "random"):
+                    dest = os.path.join(out, task + "-" + sampler)
+                    codes.append(main(["run", *base, "--sampler", sampler,
+                                       "--n", "1", "--out", dest]))
+                    logs = os.path.join(dest, "logs")
+                    codes.append(main(["report", logs]))
+                    for name in sorted(os.listdir(logs)):
+                        stored, summary = rescore_log(os.path.join(logs, name))
+                        codes.append(int(stored["rr"] != summary.rr))
+            instances = os.path.join(out, "voxel", "instances")
+            path = os.path.join(instances, sorted(os.listdir(instances))[0])
+            with open(path) as fh:
+                data = json.load(fh)
+            text, _ = texts_from_heights(data["projection"], data["k"], [1] * 3)
+            codes.append(main(["validate", path, text]))
+            print(set(codes), "numpy" in sys.modules)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "{0} False", done.stderr

@@ -1,15 +1,20 @@
 import itertools
+import json
+import random
 
 import numpy as np
 import pytest
 
 from hyposet.errors import EnumerationLimit, ParseFailure
+from hyposet.tasks import get_task
 from hyposet.voxel import (
+    VoxelInstance,
     canon_stack,
     check_gravity,
     count_admissible,
     enumerate_admissible_stacks,
     generate_voxel_instance,
+    occupied_columns,
     parse_layers,
     project,
     serialize_stack,
@@ -89,6 +94,29 @@ class TestCount:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             count_admissible([[1]], 0)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([1, 0, 1], "2-d"), ([[1, 0], [1]], "2-d"), ([[1, 2]], "0/1"),
+         ([[[1]]], "2-d")],
+        ids=["1-d", "ragged", "cell-2", "3-d"],
+    )
+    def test_rejects_what_the_tensor_check_rejects(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            count_admissible(grid, 2)
+        with pytest.raises(ValueError):
+            occupied_columns(grid)
+
+    def test_lists_tuples_and_arrays_agree(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            grid = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+            want = 3 ** len(occupied_columns(grid))
+            assert count_admissible(grid, 3) == want
+            assert count_admissible(tuple(map(tuple, grid)), 3) == want
+            assert count_admissible(np.asarray(grid, dtype=np.uint8), 3) == want
+            assert count_admissible(np.asarray(grid, dtype=bool), 3) == want
 
 
 class TestEnumerate:
@@ -173,3 +201,39 @@ class TestGenerate:
     def test_occupied_bounds(self):
         with pytest.raises(ValueError):
             generate_voxel_instance(2, 2, 5, 0)
+
+
+def numpy_voxel_instance(m, k, occupied, seed, **labels):
+    """The generator built on a numpy grid: the reference the plain-Python
+    grid must match draw for draw."""
+    rng = random.Random(seed)
+    grid = np.zeros((m, m), dtype=np.uint8)
+    for pos in rng.sample(range(m * m), occupied):
+        grid[divmod(pos, m)] = 1
+    return VoxelInstance(
+        projection=tuple(tuple(int(v) for v in row) for row in grid),
+        k=k,
+        count=int(k) ** int(grid.sum()),
+        difficulty=f"tp={occupied}",
+        seed=seed,
+        **labels,
+    )
+
+
+class TestGenerateParity:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_matches_a_numpy_build_of_the_same_draw(self, m):
+        task = get_task("voxel")
+        for seed in range(10):
+            for occupied in sorted({0, 1, m, m * m // 2, m * m}):
+                for k in (1, 3):
+                    got = generate_voxel_instance(m, k, occupied, seed)
+                    assert got == numpy_voxel_instance(m, k, occupied, seed)
+                    assert {type(v) for row in got.projection for v in row} == {int}
+                    made = task.generate(seed, 7, grid=m, height=k, occupied=occupied)
+                    want = numpy_voxel_instance(
+                        m, k, occupied, seed, instance_id=f"voxel-tp{occupied}-007"
+                    )
+                    assert json.dumps(task.to_json(made)) == json.dumps(
+                        task.to_json(want)
+                    )
