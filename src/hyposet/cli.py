@@ -108,8 +108,9 @@ def _config_from_args(args) -> SuiteConfig:
         cfg.difficulty = [d.strip() for d in args.difficulty.split(",") if d.strip()]
     if not cfg.difficulty:
         cfg.difficulty = list(task.levels)
+    custom = _CUSTOM_LEVEL.get(cfg.task)
     for level in cfg.difficulty:
-        if level != "custom" and level not in task.levels:
+        if level not in task.levels and not (level == "custom" and custom):
             raise ConfigError(
                 f"unknown difficulty {level!r} for task {cfg.task};"
                 f" expected one of {list(task.levels)}"
@@ -135,10 +136,13 @@ def _config_from_args(args) -> SuiteConfig:
         if value is not None:
             cfg.generate[key] = value
     _check("generate ", _GENERATE_TYPES[cfg.task], cfg.generate)
-    if (cfg.task == "causal" and "nodes" in cfg.generate) or (
-        cfg.task == "voxel" and "occupied" in cfg.generate
-    ):
+    if custom and custom[0] in cfg.generate:
         cfg.difficulty = ["custom"]
+    elif custom and "custom" in cfg.difficulty:
+        raise ConfigError(
+            f"difficulty 'custom' for task {cfg.task} needs {custom[1]}"
+            f" (generate config key {custom[0]!r})"
+        )
     _check_generate_limits(cfg, task)
     # sampler
     kind = getattr(args, "sampler", None)
@@ -220,6 +224,8 @@ _GENERATE_TYPES = {
     "bool": {},
 }
 
+# per task, the generate key that sets a "custom" level, and its option
+_CUSTOM_LEVEL = {"causal": ("nodes", "--nodes"), "voxel": ("occupied", "--tp")}
 # per task: (option, the option that bounds it, the bound, the bound as
 # text); checked at each level by ``_check_generate_limits``
 _GENERATE_LIMITS = {
@@ -258,9 +264,7 @@ def _check_generate_limits(cfg: SuiteConfig, task) -> None:
 
     for level in cfg.difficulty:
         value, limit = option(key, level), option(bounding, level)
-        if value is None or limit is None:
-            continue  # "custom" without the option that sets it
-        if value > bound_of(limit):
+        if value is not None and value > bound_of(limit):
             where = "" if level == "custom" else f"at difficulty {level!r}, "
             raise ConfigError(
                 f"{where}generate config key {key!r} must be at most"

@@ -94,13 +94,22 @@ def _template(template_id: str) -> str:
     return resource.read_text(encoding="utf-8")
 
 
-def render_prompt(context: SamplerContext) -> str:
+def _history_line(number: int, text: str) -> str:
+    return f"{number}. {text}"
+
+
+def render_prompt(context: SamplerContext, history_lines: Sequence[str] = ()) -> str:
     """Deterministic prompt: task description, observations, output schema,
-    and the verbatim list of prior emissions."""
+    and the verbatim list of prior emissions, numbered from 1.
+
+    ``history_lines``, when given, must be those numbered lines of
+    ``context.history`` already formatted, as a caller that keeps them
+    across attempts holds them; without them each line is formatted here."""
     template = _template(context.template_id)
     if context.history:
         history = "\n".join(
-            f"{i}. {text}" for i, text in enumerate(context.history, start=1)
+            history_lines
+            or [_history_line(i, text) for i, text in enumerate(context.history, 1)]
         )
     else:
         history = "(none)"
@@ -148,10 +157,11 @@ class SamplerConfig:
         return token
 
 
-def _retry_after(headers) -> int | None:
+def _retry_after(headers: dict) -> int | None:
     """A response's ``Retry-After`` delay in seconds, capped at
-    RETRY_AFTER_CAP_S; None unless the header holds delta-seconds."""
-    value = (headers.get("Retry-After") or "").strip()
+    RETRY_AFTER_CAP_S, from its header fields with lower-case names; None
+    unless the field holds delta-seconds."""
+    value = (headers.get("retry-after") or "").strip()
     if value.isascii() and value.isdigit():
         return min(int(value), RETRY_AFTER_CAP_S)
     return None
@@ -161,6 +171,9 @@ def send_chat(
     config: SamplerConfig, prompt: str, connection: ChatConnection | None = None
 ) -> tuple[str, dict]:
     """One chat-completions request; returns (content, usage).
+
+    ``usage`` is the response's usage object, or ``{}`` when it has none, it
+    is not an object, or its ``total_tokens`` is not an integer.
 
     Transport errors and 408, 429 and 5xx responses are retried up to
     ``max_attempts`` total tries, then raise TransportFailure. Before each
@@ -203,7 +216,15 @@ def send_chat(
                 content = data["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise TransportFailure(f"malformed completion body: {err}")
-            return content, data.get("usage", {}) or {}
+            if type(content) is not str:
+                raise TransportFailure(
+                    f"malformed completion body: content is {json.dumps(content)[:200]},"
+                    " not a string"
+                )
+            usage = data.get("usage")
+            if type(usage) is not dict or type(usage.get("total_tokens", 0)) is not int:
+                usage = {}
+            return content, usage
         last_error = f"HTTP {status}: {reply.decode('utf-8', 'replace')[:200]}"
         if status < 500 and status not in RETRIED_4XX:
             raise TransportFailure(f"not retried; {last_error}")
@@ -261,20 +282,46 @@ class ScriptedSampler:
 
 class RemoteSampler:
     """One stateless chat request per proposal, all over one kept-alive
-    connection per run; usage counters accumulate."""
+    connection per run; usage counters accumulate.
+
+    Each numbered history line is formatted once per run: while each
+    context's history extends the one before, only its new entries are
+    formatted. A history extends the one before when both are views of one
+    list, as ``run_instance`` passes them, it is no shorter, and it holds
+    the same object where the one before ended. Any other history is
+    formatted from scratch; two histories of one length can share their
+    last entry and still differ before it."""
 
     def __init__(self, config: SamplerConfig):
         from .transport import ChatConnection
 
         self._config = config
         self._connection = ChatConnection(config.endpoint)
+        self._lines: list[str] = []  # the numbered lines of the last history
+        self._items = None  # the list that history viewed
+        self._last = None  # and its last entry
         self.total_tokens = 0
 
+    def _history_lines(self, history: Sequence[str]) -> list[str]:
+        seen = len(self._lines)
+        items = history._items if isinstance(history, HistoryView) else None
+        if (
+            items is None
+            or items is not self._items
+            or len(history) < seen
+            or (seen and history[seen - 1] is not self._last)
+        ):
+            self._lines, seen = [], 0
+        for number in range(seen + 1, len(history) + 1):
+            self._lines.append(_history_line(number, history[number - 1]))
+        self._items = items
+        self._last = history[-1] if history else None
+        return self._lines
+
     def next_proposal(self, context: SamplerContext) -> str:
-        content, usage = send_chat(
-            self._config, render_prompt(context), connection=self._connection
-        )
-        self.total_tokens += int(usage.get("total_tokens", 0) or 0)
+        prompt = render_prompt(context, self._history_lines(context.history))
+        content, usage = send_chat(self._config, prompt, connection=self._connection)
+        self.total_tokens += usage.get("total_tokens", 0)
         return content
 
     def close(self):

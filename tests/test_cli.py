@@ -496,6 +496,26 @@ class TestRun:
         if count is not None:
             assert json.loads(path.read_text())["count"] == count
 
+    @pytest.mark.parametrize(
+        "task, expected",
+        [
+            ("voxel", "difficulty 'custom' for task voxel needs --tp"
+                      " (generate config key 'occupied')"),
+            ("causal", "difficulty 'custom' for task causal needs --nodes"
+                       " (generate config key 'nodes')"),
+            ("bool", "unknown difficulty 'custom' for task bool"),
+        ],
+    )
+    def test_custom_difficulty_without_its_option_writes_nothing(
+        self, tmp_path, capsys, task, expected
+    ):
+        out = tmp_path / "o"
+        for command in ("gen", "run"):
+            flags = ("--task", task, "--difficulty", "custom", "--out", str(out))
+            assert run_cli(command, *flags) == 3
+            assert expected in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_checks_the_sampler_section(self, tmp_path, capsys):
         config = {"task": "causal", "difficulty": ["1"], "count": 1,
                   "out": str(tmp_path / "o"), "sampler": {"sed": 5}}
