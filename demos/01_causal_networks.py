@@ -10,6 +10,7 @@ from hyposet.causal import (
     InterventionObservation,
     canon_dag,
     descendants,
+    edges_text_from_canon,
     enumerate_admissible_dags,
     forward_effect,
     generate_causal_instance,
@@ -29,14 +30,15 @@ print("perturbing C (a sink) gives", forward_effect(chain, 2))
 
 # observe all three perturbations of the chain, then ask which networks are
 # consistent: the transitive edge A->C can be present or absent, invisible
-# to every probe
+# to every probe. The enumerator returns each network's canonical form, its
+# sorted edge list.
 observations = [
     InterventionObservation(s, forward_effect(chain, s)) for s in range(3)
 ]
 admissible = enumerate_admissible_dags(observations, 3)
 print(f"\n{len(admissible)} networks reproduce all three probes:")
-for dag in admissible:
-    print("  ", serialize_dag(dag))
+for canon in admissible:
+    print("  ", edges_text_from_canon(canon))
 
 # --- fewer probes, more freedom ----------------------------------------------
 
@@ -44,8 +46,8 @@ for dag in admissible:
 one_probe = [InterventionObservation(0, forward_effect(chain, 0))]
 admissible = enumerate_admissible_dags(one_probe, 3)
 print(f"\nafter only the A-probe, {len(admissible)} networks remain:")
-for dag in admissible:
-    print("  ", canon_dag(dag) or "(no edges)")
+for canon in admissible:
+    print("  ", canon or "(no edges)")
 
 # --- generated instances -----------------------------------------------------
 

@@ -7,7 +7,9 @@ observed reaction vector exactly.
 
 Graphs are judged through descendant bitmasks: ``reach_masks`` gives each
 node's descendant set as an int, once per graph, and acyclicity, forward
-effects, validation and the enumerator's pruning bounds all read those masks.
+effects and validation read those masks. The enumerator searches on such
+masks alone and builds no graph: it grows descendant masks edge by edge and
+walks an adjacency mask only from the observed sources.
 """
 
 from __future__ import annotations
@@ -178,20 +180,36 @@ def dag_from_edge_labels(n: int, pairs: list[tuple[str, str]]) -> Dag:
     return Dag(n, frozenset(edges))
 
 
+def _reach_from(adj: list[int], source: int) -> int:
+    """Descendant mask of ``source`` in the graph whose out-neighbour masks
+    are ``adj``: a breadth-first walk, one frontier of bits at a time."""
+    seen = 0
+    frontier = adj[source]
+    while frontier:
+        seen |= frontier
+        step = 0
+        while frontier:
+            bit = frontier & -frontier
+            step |= adj[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = step & ~seen
+    return seen
+
+
 def enumerate_admissible_dags(
     observations,
     n: int,
     *,
     max_nodes: int = MAX_ENUM_NODES,
-) -> list[Dag]:
-    """Exactly the acyclic labeled digraphs consistent with the observations.
+) -> list[str]:
+    """Canonical forms, sorted, of exactly the acyclic labeled digraphs
+    consistent with the observations.
 
-    Depth-first search over edge decisions. Pruning: edges out of an observed
-    source must stay inside its reaction set (else forbidden), an observed
-    descendant no other observed descendant can account for forces a direct
-    edge, and partial graphs are cut as soon as included edges overshoot or
-    the remaining undecided edges cannot cover a reaction set. Results are
-    sorted by canonical form.
+    Depth-first search over edge decisions on int bitmasks. Pruning: edges out
+    of an observed source must stay inside its reaction set (else forbidden),
+    an observed descendant no other observed descendant can account for forces
+    a direct edge, and partial graphs are cut as soon as included edges
+    overshoot or the remaining undecided edges cannot cover a reaction set.
     """
     if n > max_nodes:
         raise EnumerationLimit(f"n={n} exceeds enumeration limit {max_nodes}")
@@ -229,31 +247,54 @@ def enumerate_admissible_dags(
         return []
 
     free = sorted(e for e in all_edges if e not in forbidden and e not in required)
-    results: list[Dag] = []
+    labels = [f"{node_label(i)}>{node_label(j)}" for i, j in free]
+    # The included edges' labels in canonical order, which for one-letter
+    # labels is the order of the (i, j) pairs: the required edges, and each
+    # included free edge inserted at its place among them.
+    chosen = [f"{node_label(i)}>{node_label(j)}" for i, j in sorted(required)]
+    place = [sum(e < edge for e in required) for edge in free]
+    probed = list(targets.items())
+    adj = [0] * n  # out-neighbours through the included and undecided edges
+    for i, j in (*required, *free):
+        adj[i] |= 1 << j
+    found: list[str] = []
 
-    # ``low`` is the closure of the included edges, ``high`` that of the
-    # included plus the undecided ones: every completion reaches at least
-    # ``low`` and at most ``high``.
-    def dfs(idx: int, chosen: list, low: list[int], high: list[int]):
-        for s, tmask in targets.items():
-            if low[s] & ~tmask or tmask & ~high[s]:
-                return
+    # ``low`` is every node's descendant mask through the included edges,
+    # ``high`` each probed source's through ``adj``: every completion reaches
+    # at least ``low`` and at most ``high``. ``cut`` is the source of the edge
+    # the caller just excluded, or -1; it leaves stale only the upper bounds
+    # of the sources that reach it. A leaf's check is exact and replaces the
+    # bounds.
+    def walk(idx: int, low: list[int], high: list[int], cut: int) -> None:
         if idx == len(free):
-            dag = Dag(n, frozenset(chosen))
-            if validate_dag(dag, observations):
-                results.append(dag)
+            if all(low[s] == tmask for s, tmask in probed):
+                found.append(";".join(chosen))
             return
+        if cut >= 0:
+            high = [
+                _reach_from(adj, s) if s == cut or h >> cut & 1 else h
+                for (s, _), h in zip(probed, high)
+            ]
+        for (s, tmask), h in zip(probed, high):
+            if low[s] & ~tmask or tmask & ~h:
+                return
         u, v = free[idx]
-        dfs(idx + 1, chosen, low, reach_masks(n, chosen + free[idx + 1:]))
+        adj[u] ^= 1 << v
+        walk(idx + 1, low, high, u)
+        adj[u] ^= 1 << v
         if not low[v] >> u & 1:  # u>v closes no cycle
             gained = 1 << v | low[v]
             grown = [
                 m | gained if a == u or m >> u & 1 else m for a, m in enumerate(low)
             ]
-            dfs(idx + 1, chosen + [(u, v)], grown, high)
+            at = place[idx] + len(chosen) - len(required)
+            chosen.insert(at, labels[idx])
+            walk(idx + 1, grown, high, -1)
+            del chosen[at]
 
-    dfs(0, sorted(required), low, reach_masks(n, [*required, *free]))
-    return sorted(results, key=canon_dag)
+    walk(0, low, [_reach_from(adj, s) for s, _ in probed], -1)
+    found.sort()
+    return found
 
 
 @dataclass(frozen=True)
@@ -305,8 +346,7 @@ def generate_causal_instance(
     observations = tuple(
         InterventionObservation(s, forward_effect(latent, s)) for s in sources
     )
-    dags = enumerate_admissible_dags(observations, n)
-    admissible = tuple(canon_dag(d) for d in dags)
+    admissible = tuple(enumerate_admissible_dags(observations, n))
     return CausalInstance(
         n=n,
         observations=observations,

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import metrics
+from . import causal, metrics
 from .errors import (
     ConfigError,
     ConstraintViolation,
@@ -226,11 +226,16 @@ _GENERATE_TYPES = {
 
 # per task, the generate key that sets a "custom" level, and its option
 _CUSTOM_LEVEL = {"causal": ("nodes", "--nodes"), "voxel": ("occupied", "--tp")}
-# per task: (option, the option that bounds it, the bound, the bound as
-# text); checked at each level by ``_check_generate_limits``
+# per task: (option, its bound from the level's options, the bound as text)
+# rules, checked at each level by ``_check_generate_limits``
 _GENERATE_LIMITS = {
-    "causal": ("interventions", "nodes", lambda nodes: nodes, "nodes"),
-    "voxel": ("occupied", "grid", lambda grid: grid * grid, "grid * grid"),
+    "causal": (
+        ("nodes", lambda option: causal.MAX_ENUM_NODES, ""),
+        ("interventions", lambda option: option("nodes"), "nodes = "),
+    ),
+    "voxel": (
+        ("occupied", lambda option: option("grid") ** 2, "grid * grid = "),
+    ),
 }
 
 
@@ -252,24 +257,23 @@ def _check_generate_limits(cfg: SuiteConfig, task) -> None:
     """Raise a ConfigError naming the option when, at some level, it exceeds
     the bound ``_GENERATE_LIMITS`` sets. An option not given takes the
     default of ``task.generate``; a default of None stands for the level's
-    own parameter (for causal ``interventions``, the node count)."""
-    if cfg.task not in _GENERATE_LIMITS:
-        return
-    key, bounding, bound_of, bound_text = _GENERATE_LIMITS[cfg.task]
+    own parameter (for causal ``nodes`` and ``interventions``, the node
+    count)."""
     defaults = inspect.signature(task.generate).parameters
-
-    def option(name, level):
-        value = cfg.generate.get(name, defaults[name].default)
-        return task.level_params.get(level) if value is None else value
-
     for level in cfg.difficulty:
-        value, limit = option(key, level), option(bounding, level)
-        if value is not None and value > bound_of(limit):
-            where = "" if level == "custom" else f"at difficulty {level!r}, "
-            raise ConfigError(
-                f"{where}generate config key {key!r} must be at most"
-                f" {bound_text} = {bound_of(limit)}, not {value}"
-            )
+
+        def option(name):
+            value = cfg.generate.get(name, defaults[name].default)
+            return task.level_params.get(level) if value is None else value
+
+        for key, bound_of, bound_text in _GENERATE_LIMITS.get(cfg.task, ()):
+            value, bound = option(key), bound_of(option)
+            if value is not None and value > bound:
+                where = "" if level == "custom" else f"at difficulty {level!r}, "
+                raise ConfigError(
+                    f"{where}generate config key {key!r} must be at most"
+                    f" {bound_text}{bound}, not {value}"
+                )
 
 
 def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
@@ -298,16 +302,9 @@ def cmd_gen(args) -> int:
     for level in cfg.difficulty:
         for index in range(cfg.count):
             instance_seed = derive_seed(cfg.seed, cfg.task, level, index)
-            try:
-                instance = task.generate(
-                    instance_seed, index=index, level=level, **cfg.generate
-                )
-            except EnumerationLimit as err:
-                print(
-                    f"warning: skipping {cfg.task} level {level} #{index}: {err}",
-                    file=sys.stderr,
-                )
-                continue
+            instance = task.generate(
+                instance_seed, index=index, level=level, **cfg.generate
+            )
             data = task.to_json(instance)
             data["config_digest"] = cfg.digest()
             _dump_json(
@@ -436,6 +433,65 @@ def cmd_run(args) -> int:
     return 0 if skipped == 0 else 3
 
 
+_VALID_CATEGORIES = ("duplicate_exact", "duplicate_canonical", "valid_novel")
+
+
+def _recount(log) -> tuple[list[str], str | None]:
+    """The comparison key of each proposal line, and why the summary line
+    disagrees with those lines (None when it agrees).
+
+    Nothing is judged: N, the failure counts, VR, NR, RR and coverage follow
+    from the lines' categories and keys, by the novelty rule of ``metrics``,
+    and from the summary's |H_O|. The reason names the first field that
+    differs."""
+    counts = dict.fromkeys(metrics.CATEGORIES, 0)
+    keys: list[str] = []
+    valid_keys: set[str] = set()
+    other_keys: set[str] = set()
+    novel = 0
+    for proposal in log["proposals"]:
+        category = proposal["category"]
+        if category not in counts:
+            return keys, f"proposal category {category!r} is unknown"
+        counts[category] += 1
+        key = proposal["canonical"]
+        if key is None:
+            key = proposal["raw"]
+        keys.append(key)
+        # a valid proposal is novel against earlier valid keys only, any
+        # other against every earlier key
+        if key in valid_keys:
+            continue
+        if category in _VALID_CATEGORIES:
+            novel += 1
+            valid_keys.add(key)
+        elif key not in other_keys:
+            novel += 1
+            other_keys.add(key)
+    summary = log["summary"]
+    n, size = len(keys), summary.get("h_o_size")
+    if not n:
+        return keys, "no proposal lines"
+    if type(size) is not int or size < 1:
+        return keys, f"summary h_o_size is {json.dumps(size)}, not an integer >= 1"
+    recovered = counts["valid_novel"] / size
+    expected = {
+        "n": n,
+        "failure_counts": counts,
+        "vr": sum(counts[c] for c in _VALID_CATEGORIES) / n,
+        "nr": novel / n,
+        "rr": recovered,
+        "coverage": recovered,
+    }
+    for name, value in expected.items():
+        if summary.get(name) != value:
+            return keys, (
+                f"summary {name} is {json.dumps(summary.get(name), sort_keys=True)},"
+                f" but its proposal lines give {json.dumps(value, sort_keys=True)}"
+            )
+    return keys, None
+
+
 def cmd_report(args) -> int:
     log_dir = args.logs
     out_dir = args.out or os.path.join(os.path.dirname(log_dir.rstrip("/")) or ".", "report")
@@ -452,11 +508,14 @@ def cmd_report(args) -> int:
             reason = err.reason
         else:
             if log["complete"]:
-                loaded.append(log)
-                continue
-            reason = "no summary line"
-            if log["abort"] is not None:
+                keys, reason = _recount(log)
+                if reason is None:
+                    loaded.append((log, keys))
+                    continue
+            elif log["abort"] is not None:
                 reason = f"aborted: {log['abort']}"
+            else:
+                reason = "no summary line"
         print(f"warning: skipping {path}: {reason}", file=sys.stderr)
         skipped.append(f"- `{os.path.basename(path)}`: {reason}")
     if not loaded:
@@ -467,7 +526,7 @@ def cmd_report(args) -> int:
     samplers = sorted(
         {
             f"{log['header']['sampler']['kind']}:{log['header']['sampler']['digest']}"
-            for log in loaded
+            for log, _ in loaded
         }
     )
     rows_by_sampler: dict[str, list[dict]] = {s: [] for s in samplers}
@@ -476,7 +535,7 @@ def cmd_report(args) -> int:
     entropy_by_sampler: dict[str, list[dict]] = {s: [] for s in samplers}
     tasks_seen = set()
     digests = set()
-    for log in loaded:
+    for log, keys in loaded:
         header = log["header"]
         sampler = f"{header['sampler']['kind']}:{header['sampler']['digest']}"
         task = header["task"]
@@ -500,10 +559,6 @@ def cmd_report(args) -> int:
         coverage_cells.setdefault((sampler, task, difficulty), []).append(
             summary["coverage"]
         )
-        keys = [
-            p["canonical"] if p["canonical"] is not None else p["raw"]
-            for p in log["proposals"]
-        ]
         entropy_by_sampler[sampler].extend(_entropy_rows(header["instance_id"], keys))
 
     order: dict[str, int] = {}

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hyposet.causal import (
 from hyposet.errors import ConstraintViolation, EnumerationLimit, ParseFailure
 
 from bruteforce import _bfs_reach, _kahn_acyclic, brute_admissible_dag_canons
+from reference_dfs import enumerate_admissible_dags as reference_dags
 
 
 def dag(n, *edges):
@@ -142,7 +144,7 @@ class TestCanon:
 class TestEnumerate:
     def test_two_nodes(self):
         obs = [InterventionObservation(0, (0, 1)), InterventionObservation(1, (0, 0))]
-        got = {canon_dag(d) for d in enumerate_admissible_dags(obs, 2)}
+        got = set(enumerate_admissible_dags(obs, 2))
         assert got == brute_admissible_dag_canons(obs, 2) == {"A>B"}
 
     def test_three_nodes_free_transitive_edge(self):
@@ -151,14 +153,14 @@ class TestEnumerate:
             InterventionObservation(1, (0, 0, 1)),
             InterventionObservation(2, (0, 0, 0)),
         ]
-        got = {canon_dag(d) for d in enumerate_admissible_dags(obs, 3)}
+        got = set(enumerate_admissible_dags(obs, 3))
         assert got == {"A>B;B>C", "A>B;A>C;B>C"}
         assert got == brute_admissible_dag_canons(obs, 3)
 
     def test_single_node(self):
         obs = [InterventionObservation(0, (0,))]
         got = enumerate_admissible_dags(obs, 1)
-        assert [canon_dag(d) for d in got] == [""]
+        assert got == [""]
 
     def test_limit(self):
         with pytest.raises(EnumerationLimit):
@@ -203,6 +205,64 @@ class TestEnumerate:
         # Robinson (1973): labeled DAGs on 1..5 nodes
         counts = [len(enumerate_admissible_dags([], n)) for n in range(1, 6)]
         assert counts == [1, 3, 25, 543, 29281]
+
+
+def search_nodes(enumerate_dags, observations, n):
+    """The result of ``enumerate_dags(observations, n)`` and the number of
+    recursive calls it made: the nodes its search visited below the root."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_back and frame.f_back.f_code is frame.f_code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = enumerate_dags(observations, n)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestAgainstReference:
+    """The bitmask search against the ``Dag``-building DFS it replaced
+    (``tests/reference_dfs.py``), at sizes the brute force cannot reach."""
+
+    CASES = [(5, m, seed) for m in range(1, 6) for seed in range(3)] + [
+        (6, m, seed) for m in range(3, 7) for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("n, m, seed", CASES)
+    def test_same_list_in_the_same_order(self, n, m, seed):
+        obs = generate_causal_instance(n, m, seed).observations
+        expected = [canon_dag(d) for d in reference_dags(obs, n)]
+        assert enumerate_admissible_dags(obs, n) == expected
+
+    @pytest.mark.parametrize("n, m", [(5, m) for m in range(1, 6)])
+    def test_bounds_cut_as_much_as_the_reference(self, n, m):
+        # The bounds do not show in the output, because a leaf's check is
+        # exact; they show in the number of nodes the search visits.
+        for seed in range(3):
+            obs = generate_causal_instance(n, m, seed).observations
+            _, visited = search_nodes(enumerate_admissible_dags, obs, n)
+            _, reference_visited = search_nodes(reference_dags, obs, n)
+            assert visited <= reference_visited
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force_on_arbitrary_observations(self, seed):
+        # reaction vectors drawn without a latent graph, so mostly
+        # unsatisfiable, and repeated sources now and then
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        obs = []
+        for _ in range(rng.randint(1, n + 1)):
+            source = rng.randrange(n)
+            effect = [rng.randint(0, 1) for _ in range(n)]
+            effect[source] = 0
+            obs.append(InterventionObservation(source, tuple(effect)))
+        got = enumerate_admissible_dags(obs, n)
+        assert got == sorted(brute_admissible_dag_canons(obs, n))
 
 
 class TestGenerate:
@@ -310,6 +370,6 @@ class TestProperties:
         obs = [
             InterventionObservation(s, forward_effect(latent, s)) for s in sources
         ]
-        smaller = {canon_dag(d) for d in enumerate_admissible_dags(obs, n)}
-        larger = {canon_dag(d) for d in enumerate_admissible_dags(obs[:-1], n)}
+        smaller = set(enumerate_admissible_dags(obs, n))
+        larger = set(enumerate_admissible_dags(obs[:-1], n))
         assert smaller <= larger

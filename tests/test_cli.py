@@ -66,18 +66,6 @@ class TestGen:
         )
         assert code == 3
 
-    def test_intractable_instances_skipped_with_warning(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        code = run_cli(
-            "gen", "--task", "causal", "--nodes", "7", "--count", "2",
-            "--seed", "0", "--out", str(out),
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err
-        assert "wrote 0 instance files" in captured.out
-        assert not list((out / "instances").glob("*.json"))
-
 
 class TestValidate:
     @pytest.fixture()
@@ -496,6 +484,34 @@ class TestRun:
         if count is not None:
             assert json.loads(path.read_text())["count"] == count
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_past_the_node_limit_writes_nothing(self, tmp_path, capsys, from_file):
+        out = tmp_path / "o"
+        if from_file:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(
+                {"task": "causal", "count": 1, "generate": {"nodes": 7}}
+            ))
+            flags = ["--config", str(path)]
+        else:
+            flags = ["--task", "causal", "--nodes", "7", "--count", "1"]
+        for command in ("gen", "run"):
+            assert run_cli(command, *flags, "--out", str(out)) == 3
+            assert capsys.readouterr().err == (
+                "error: generate config key 'nodes' must be at most 6, not 7\n"
+            )
+        assert not out.exists()
+
+    def test_node_limit_admits_its_bound(self, tmp_path):
+        out = tmp_path / "o"
+        flags = ["--task", "causal", "--nodes", "6", "--count", "1", "--seed", "3",
+                 "--out", str(out)]
+        assert run_cli("gen", *flags) == 0
+        (path,) = (out / "instances").glob("*.json")
+        assert json.loads(path.read_text())["n"] == 6
+        assert run_cli("run", *flags, "--n", "2") == 0
+        assert len(read_csv(out / "summary.csv")) == 1
+
     @pytest.mark.parametrize(
         "task, expected",
         [
@@ -645,6 +661,108 @@ class TestReport:
         assert "Skipped" not in clean
         assert report.startswith(clean.split("| causal |")[0])
 
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"vr": 0.5, "rr": 0.123}, "vr"),  # the first field that differs
+            ({"rr": 0.123}, "rr"),
+            ({"nr": 1.0}, "nr"),
+            ({"coverage": 0.5}, "coverage"),
+            ({"n": 99}, "n"),
+            ({"failure_counts": {"valid_novel": 6}}, "failure_counts"),
+            ({"h_o_size": 99}, "rr"),
+            ("drop the last proposal line", "n"),
+            ("recategorise a duplicate", "failure_counts"),
+            # no number to check against
+            ({"h_o_size": 0}, "summary h_o_size is 0, not an integer >= 1"),
+            ("drop every proposal line", "no proposal lines"),
+            ("unknown category", "proposal category 'bogus' is unknown"),
+        ],
+    )
+    def test_summary_its_proposal_lines_contradict_is_skipped(
+        self, tmp_path, capsys, edit, field
+    ):
+        out = tmp_path / "o"
+        assert run_cli(
+            "run", "--task", "causal", "--difficulty", "1", "--count", "2",
+            "--seed", "1", "--sampler", "random", "--out", str(out),
+            "--deterministic",
+        ) == 0
+        logs = sorted((out / "logs").iterdir())
+        # the report over the other, unedited log alone
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / logs[1].name).write_bytes(logs[1].read_bytes())
+        assert run_cli("report", str(alone), "--out", str(tmp_path / "r1")) == 0
+        assert "Skipped" not in (tmp_path / "r1" / "report.md").read_text()
+
+        lines = [json.loads(line) for line in logs[0].read_text().splitlines()]
+        summary = dict(lines[-1])
+        assert lines[-2]["category"] == "duplicate_exact"
+        if edit == "drop the last proposal line":
+            del lines[-2]
+        elif edit == "drop every proposal line":
+            lines = [lines[0], lines[-1]]
+        elif edit == "recategorise a duplicate":
+            lines[-2]["category"] = "duplicate_canonical"
+        elif edit == "unknown category":
+            lines[-2]["category"] = "bogus"
+        else:
+            lines[-1].update(edit)
+        logs[0].write_text("".join(json.dumps(line) + "\n" for line in lines))
+        if field in summary:
+            given = {
+                **summary,
+                "n": summary["n"] - (edit == "drop the last proposal line"),
+                "rr": summary["rr"] * summary["h_o_size"] / lines[-1]["h_o_size"],
+                "failure_counts": {
+                    category: sum(line.get("category") == category for line in lines)
+                    for category in summary["failure_counts"]
+                },
+            }[field]
+            reason = (
+                f"summary {field} is {json.dumps(lines[-1][field], sort_keys=True)},"
+                f" but its proposal lines give {json.dumps(given, sort_keys=True)}"
+            )
+        else:
+            reason = field
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0
+        assert capsys.readouterr().err == f"warning: skipping {logs[0]}: {reason}\n"
+        assert (out / "report" / "report.md").read_text() == (
+            (tmp_path / "r1" / "report.md").read_text()
+            + f"\n## Skipped logs\n\n- `{logs[0].name}`: {reason}\n"
+        )
+
+    def test_recount_keys_novelty_as_the_scorer_does(self, tmp_path, capsys):
+        # A parse failure whose raw text equals a valid canonical form shares
+        # its comparison key: the valid proposal after it is still novel, and
+        # the parse failure repeated after that is not.
+        out = tmp_path / "o"
+        flags = ["--task", "causal", "--nodes", "3", "--count", "1", "--seed", "2",
+                 "--out", str(out), "--deterministic"]
+        assert run_cli("gen", *flags) == 0
+        (path,) = (out / "instances").glob("*.json")
+        canon = max(json.loads(path.read_text())["admissible"], key=len)
+        script = tmp_path / "script.txt"
+        script.write_text("\n".join([
+            canon,
+            "EDGES: " + ", ".join(canon.split(";")),
+            canon,
+            "EDGES:" + " , ".join(canon.split(";")),
+        ]))
+        assert run_cli("run", *flags, "--sampler", "scripted", "--script",
+                       str(script), "--n", "4") == 0
+        (log,) = (out / "logs").iterdir()
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [line["category"] for line in lines[1:-1]] == [
+            "parse_failure", "valid_novel", "parse_failure", "duplicate_canonical",
+        ]
+        assert lines[-1]["nr"] == 0.5
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "r")) == 0
+        assert capsys.readouterr().err == ""
 
 class TestExitCodes:
     def test_no_command_usage_error(self):
