@@ -230,11 +230,7 @@ def _enumerate(ops: frozenset[str], depth_bound: int, allow_constants: bool):
 
 
 def enumerate_exprs(
-    ops,
-    depth_bound: int,
-    allow_constants: bool = False,
-    *,
-    max_depth: int = MAX_ENUM_DEPTH,
+    ops, depth_bound: int, allow_constants: bool = False
 ) -> tuple[BoolExpr, ...]:
     """Every canonical form reachable by a parse tree of depth <= depth_bound,
     sorted by serialization.
@@ -243,9 +239,9 @@ def enumerate_exprs(
     children is exhaustive because canonicalization is bottom-up and never
     increases the minimal parse depth of a form.
     """
-    if depth_bound > max_depth:
+    if depth_bound > MAX_ENUM_DEPTH:
         raise EnumerationLimit(
-            f"depth bound {depth_bound} exceeds enumeration limit {max_depth}"
+            f"depth bound {depth_bound} exceeds enumeration limit {MAX_ENUM_DEPTH}"
         )
     if depth_bound < 0:
         raise ValueError("depth bound must be >= 0")

@@ -196,12 +196,7 @@ def _reach_from(adj: list[int], source: int) -> int:
     return seen
 
 
-def enumerate_admissible_dags(
-    observations,
-    n: int,
-    *,
-    max_nodes: int = MAX_ENUM_NODES,
-) -> list[str]:
+def enumerate_admissible_dags(observations, n: int) -> list[str]:
     """Canonical forms, sorted, of exactly the acyclic labeled digraphs
     consistent with the observations.
 
@@ -211,8 +206,8 @@ def enumerate_admissible_dags(
     a direct edge, and partial graphs are cut as soon as included edges
     overshoot or the remaining undecided edges cannot cover a reaction set.
     """
-    if n > max_nodes:
-        raise EnumerationLimit(f"n={n} exceeds enumeration limit {max_nodes}")
+    if n > MAX_ENUM_NODES:
+        raise EnumerationLimit(f"n={n} exceeds enumeration limit {MAX_ENUM_NODES}")
     observations = tuple(observations)
     for obs in observations:
         if len(obs.effect) != n:

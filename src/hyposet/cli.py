@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import causal, metrics
+from . import causal, harness, metrics
 from .errors import (
     ConfigError,
     ConstraintViolation,
@@ -26,7 +26,7 @@ from .errors import (
     ParseFailure,
     TransportFailure,
 )
-from .harness import DEFAULT_N_CAP, SamplerConfig, derive_seed, load_log, run_suite
+from .harness import DEFAULT_N_CAP, SamplerConfig, load_log, run_suite, suite_instances
 from .tasks import difficulty_order, get_task, load_instance
 
 SUMMARY_COLUMNS = [
@@ -299,18 +299,12 @@ def cmd_gen(args) -> int:
     instance_dir = os.path.join(cfg.out, "instances")
     os.makedirs(instance_dir, exist_ok=True)
     written = 0
-    for level in cfg.difficulty:
-        for index in range(cfg.count):
-            instance_seed = derive_seed(cfg.seed, cfg.task, level, index)
-            instance = task.generate(
-                instance_seed, index=index, level=level, **cfg.generate
-            )
-            data = task.to_json(instance)
-            data["config_digest"] = cfg.digest()
-            _dump_json(
-                os.path.join(instance_dir, f"{instance.instance_id}.json"), data
-            )
-            written += 1
+    instances = suite_instances(task, cfg.difficulty, cfg.count, cfg.seed, cfg.generate)
+    for instance in instances:
+        data = task.to_json(instance)
+        data["config_digest"] = cfg.digest()
+        _dump_json(os.path.join(instance_dir, f"{instance.instance_id}.json"), data)
+        written += 1
     print(f"wrote {written} instance files to {instance_dir}")
     return 0
 
@@ -341,53 +335,48 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _summary_row(log) -> dict:
-    s = log.summary
-    fc = s.failure_counts
+def _summary_row(sampler: str, run) -> dict:
+    """The SUMMARY_COLUMNS of one run, in order, that ``sampler`` labels:
+    ``run`` maps task, difficulty, instance_id, n, h_o_size and each scored
+    field of the run's summary line to its value."""
+    counts = run["failure_counts"]
     return {
-        "task": log.task,
-        "difficulty": log.difficulty,
-        "instance_id": log.instance_id,
-        "sampler": f"{log.sampler_kind}:{log.sampler_digest}",
-        "N": log.n,
-        "h_o_size": log.h_o_size,
-        "vr": s.vr,
-        "nr": s.nr,
-        "rr": s.rr,
-        "coverage": s.coverage,
-        "parse_failures": fc["parse_failure"],
-        "constraint_violations": fc["constraint_violation"],
-        "invalid": fc["invalid"],
-        "dup_exact": fc["duplicate_exact"],
-        "dup_canonical": fc["duplicate_canonical"],
-        "c_count": s.c_count,
-        "c_entropy_bits": s.c_entropy_bits,
+        "task": run["task"],
+        "difficulty": run["difficulty"],
+        "instance_id": run["instance_id"],
+        "sampler": sampler,
+        "N": run["n"],
+        "h_o_size": run["h_o_size"],
+        "vr": run["vr"],
+        "nr": run["nr"],
+        "rr": run["rr"],
+        "coverage": run["coverage"],
+        "parse_failures": counts["parse_failure"],
+        "constraint_violations": counts["constraint_violation"],
+        "invalid": counts["invalid"],
+        "dup_exact": counts["duplicate_exact"],
+        "dup_canonical": counts["duplicate_canonical"],
+        "c_count": run["c_count"],
+        "c_entropy_bits": run["c_entropy_bits"],
     }
 
 
 def _write_csv(path, columns, rows):
+    """A CSV file of ``columns`` and ``rows``, each row a sequence of values
+    in column order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
-def _entropy_rows(instance_id, patterns) -> list[dict]:
+def _entropy_rows(instance_id, patterns) -> list[tuple]:
     """Entropy series rows over records or their comparison keys."""
-    gains = metrics.info_gain_series(patterns)
     rows = []
     cumulative = 0.0
-    for t, delta in enumerate(gains, start=1):
+    for t, delta in enumerate(metrics.info_gain_series(patterns), start=1):
         cumulative += delta
-        rows.append(
-            {
-                "instance_id": instance_id,
-                "t": t,
-                "H_t": f"{cumulative:.12g}",
-                "delta_I_t": f"{delta:.12g}",
-            }
-        )
+        rows.append((instance_id, t, f"{cumulative:.12g}", f"{delta:.12g}"))
     return rows
 
 
@@ -420,7 +409,13 @@ def cmd_run(args) -> int:
     _write_csv(
         os.path.join(cfg.out, "summary.csv"),
         SUMMARY_COLUMNS,
-        [_summary_row(log) for log in complete],
+        [
+            _summary_row(
+                f"{log.sampler_kind}:{log.sampler_digest}",
+                {**vars(log), **vars(log.summary)},
+            ).values()
+            for log in complete
+        ],
     )
     entropy_rows = []
     for log in complete:
@@ -433,60 +428,43 @@ def cmd_run(args) -> int:
     return 0 if skipped == 0 else 3
 
 
-_VALID_CATEGORIES = ("duplicate_exact", "duplicate_canonical", "valid_novel")
+# the scored fields a summary line must state as its proposal lines give
+# them, in the order they are checked
+_RECOUNTED = (
+    "n", "failure_counts", "vr", "nr", "rr", "coverage", "rr_at_k", "c_count",
+    "c_entropy_bits",
+)
 
 
 def _recount(log) -> tuple[list[str], str | None]:
     """The comparison key of each proposal line, and why the summary line
     disagrees with those lines (None when it agrees).
 
-    Nothing is judged: N, the failure counts, VR, NR, RR and coverage follow
-    from the lines' categories and keys, by the novelty rule of ``metrics``,
-    and from the summary's |H_O|. The reason names the first field that
-    differs."""
-    counts = dict.fromkeys(metrics.CATEGORIES, 0)
-    keys: list[str] = []
-    valid_keys: set[str] = set()
-    other_keys: set[str] = set()
-    novel = 0
-    for proposal in log["proposals"]:
-        category = proposal["category"]
-        if category not in counts:
-            return keys, f"proposal category {category!r} is unknown"
-        counts[category] += 1
-        key = proposal["canonical"]
-        if key is None:
-            key = proposal["raw"]
-        keys.append(key)
-        # a valid proposal is novel against earlier valid keys only, any
-        # other against every earlier key
-        if key in valid_keys:
-            continue
-        if category in _VALID_CATEGORIES:
-            novel += 1
-            valid_keys.add(key)
-        elif key not in other_keys:
-            novel += 1
-            other_keys.add(key)
+    Nothing is judged: the lines are replayed through the run's scorer, each
+    with its category as written, against the summary's |H_O|, and every
+    scored field but the token count follows. The reason names the first
+    field of ``_RECOUNTED`` that differs."""
     summary = log["summary"]
-    n, size = len(keys), summary.get("h_o_size")
-    if not n:
-        return keys, "no proposal lines"
+    size = summary.get("h_o_size")
+    if not log["proposals"]:
+        return [], "no proposal lines"
     if type(size) is not int or size < 1:
-        return keys, f"summary h_o_size is {json.dumps(size)}, not an integer >= 1"
-    recovered = counts["valid_novel"] / size
-    expected = {
-        "n": n,
-        "failure_counts": counts,
-        "vr": sum(counts[c] for c in _VALID_CATEGORIES) / n,
-        "nr": novel / n,
-        "rr": recovered,
-        "coverage": recovered,
-    }
-    for name, value in expected.items():
-        if summary.get(name) != value:
+        return [], f"summary h_o_size is {json.dumps(size)}, not an integer >= 1"
+    scorer = metrics.RunScorer(size)
+    try:
+        keys = [
+            scorer.observe_line(line["raw"], line["canonical"], line["category"])
+            for line in log["proposals"]
+        ]
+        closed = harness._close(scorer)
+    except ValueError as err:
+        return [], str(err)
+    expected = {**vars(closed), "n": scorer.n, "rr_at_k": list(closed.rr_at_k)}
+    for name in _RECOUNTED:
+        stated, value = summary.get(name), expected[name]
+        if stated != value:
             return keys, (
-                f"summary {name} is {json.dumps(summary.get(name), sort_keys=True)},"
+                f"summary {name} is {json.dumps(stated, sort_keys=True)},"
                 f" but its proposal lines give {json.dumps(value, sort_keys=True)}"
             )
     return keys, None
@@ -523,46 +501,30 @@ def cmd_report(args) -> int:
         return 3
     os.makedirs(out_dir, exist_ok=True)
 
-    samplers = sorted(
-        {
-            f"{log['header']['sampler']['kind']}:{log['header']['sampler']['digest']}"
-            for log, _ in loaded
-        }
-    )
-    rows_by_sampler: dict[str, list[dict]] = {s: [] for s in samplers}
+    rows_by_sampler: dict[str, list[dict]] = {}
     failure_rows: dict[tuple, int] = {}
     coverage_cells: dict[tuple, list[float]] = {}
-    entropy_by_sampler: dict[str, list[dict]] = {s: [] for s in samplers}
-    tasks_seen = set()
+    entropy_by_sampler: dict[str, list[tuple]] = {}
     digests = set()
     for log, keys in loaded:
-        header = log["header"]
+        header, summary = log["header"], log["summary"]
         sampler = f"{header['sampler']['kind']}:{header['sampler']['digest']}"
-        task = header["task"]
-        difficulty = header["difficulty"]
-        tasks_seen.add(task)
+        row = _summary_row(sampler, {**header, **summary})
+        cell = (sampler, row["task"], row["difficulty"])
         if header.get("config_digest"):
             digests.add(header["config_digest"])
-        summary = log["summary"]
-        rows_by_sampler[sampler].append(
-            {
-                "task": task,
-                "difficulty": difficulty,
-                "vr": summary["vr"],
-                "nr": summary["nr"],
-                "rr": summary["rr"],
-            }
-        )
+        rows_by_sampler.setdefault(sampler, []).append(row)
         for category, count in summary["failure_counts"].items():
-            key = (sampler, task, difficulty, category)
+            key = (*cell, category)
             failure_rows[key] = failure_rows.get(key, 0) + count
-        coverage_cells.setdefault((sampler, task, difficulty), []).append(
-            summary["coverage"]
+        coverage_cells.setdefault(cell, []).append(row["coverage"])
+        entropy_by_sampler.setdefault(sampler, []).extend(
+            _entropy_rows(row["instance_id"], keys)
         )
-        entropy_by_sampler[sampler].extend(_entropy_rows(header["instance_id"], keys))
+    samplers = sorted(rows_by_sampler)
 
     order: dict[str, int] = {}
-    for task in tasks_seen:
+    for task in {task for _, task, _ in coverage_cells}:
         order.update(difficulty_order(task))
 
     aggregated = {
@@ -597,30 +559,13 @@ def cmd_report(args) -> int:
     _write_csv(
         os.path.join(out_dir, "failure_modes.csv"),
         ["sampler", "task", "difficulty", "category", "count"],
-        [
-            {
-                "sampler": s,
-                "task": t,
-                "difficulty": d,
-                "category": c,
-                "count": count,
-            }
-            for (s, t, d, c), count in sorted(failure_rows.items())
-        ],
+        [(*key, count) for key, count in sorted(failure_rows.items())],
     )
+    means = {cell: sum(v) / len(v) for cell, v in sorted(coverage_cells.items())}
     _write_csv(
         os.path.join(out_dir, "coverage.csv"),
         ["sampler", "task", "difficulty", "explored", "unexplored"],
-        [
-            {
-                "sampler": s,
-                "task": t,
-                "difficulty": d,
-                "explored": f"{sum(vals) / len(vals):.6f}",
-                "unexplored": f"{1 - sum(vals) / len(vals):.6f}",
-            }
-            for (s, t, d), vals in sorted(coverage_cells.items())
-        ],
+        [(*cell, f"{mean:.6f}", f"{1 - mean:.6f}") for cell, mean in means.items()],
     )
     for sampler in samplers:
         suffix = sampler.replace(":", "-")

@@ -36,7 +36,8 @@ class SamplerExhausted(ValueError):
 
 class LogFormatError(ValueError):
     """A run log that cannot be read back: a line that is not a JSON log
-    record, or no run header. ``reason`` is the message without the path."""
+    record, a line without a field that readers use, or no run header.
+    ``reason`` is the message without the path."""
 
     def __init__(self, path, reason: str):
         super().__init__(f"{path}: {reason}")

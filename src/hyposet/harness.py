@@ -18,7 +18,7 @@ import os
 import time
 import urllib.parse
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import metrics
@@ -365,7 +365,6 @@ class RunLog:
     token_count: int
     wall_clock: float | None
     complete: bool
-    instance: object = field(repr=False, compare=False, default=None)
 
 
 def _json_line(obj) -> str:
@@ -510,8 +509,19 @@ def run_instance(
         token_count=token_count,
         wall_clock=wall_clock,
         complete=complete,
-        instance=instance,
     )
+
+
+def suite_instances(task, levels, count: int, seed: int, generate_kwargs=None):
+    """Yield each level's ``count`` instances in order. Instance i at level L
+    uses the named sub-seed hash(seed, task, L, i), so levels and instances
+    can be regenerated independently."""
+    for level in levels:
+        for index in range(count):
+            instance_seed = derive_seed(seed, task.name, level, index)
+            yield task.generate(
+                instance_seed, index=index, level=level, **(generate_kwargs or {})
+            )
 
 
 def run_suite(
@@ -528,51 +538,68 @@ def run_suite(
     config_digest: str | None = None,
     generate_kwargs: dict | None = None,
 ) -> list[RunLog]:
-    """Generate instances deterministically from the suite seed and run each.
+    """Run each instance of ``suite_instances`` in turn.
 
-    Instance i at level L uses the named sub-seed hash(seed, task, L, i), so
-    levels and instances can be regenerated independently. Each log in
-    ``out_dir`` is named ``<instance id>-<config digest>.jsonl``, with the
-    sampler digest when no config digest is given.
+    Each log in ``out_dir`` is named ``<instance id>-<config digest>.jsonl``,
+    with the sampler digest when no config digest is given.
     """
     task = get_task(task_name)
     logs = []
-    for level in levels:
-        for index in range(instances_per_level):
-            instance_seed = derive_seed(seed, task_name, level, index)
-            instance = task.generate(
-                instance_seed, index=index, level=level, **(generate_kwargs or {})
+    for instance in suite_instances(
+        task, levels, instances_per_level, seed, generate_kwargs
+    ):
+        per_run = sampler_config
+        if per_run.kind == "random_valid" and per_run.seed is None:
+            per_run = replace(
+                per_run, seed=derive_seed(seed, "sampler", instance.instance_id)
             )
-            per_run = sampler_config
-            if per_run.kind == "random_valid" and per_run.seed is None:
-                per_run = replace(
-                    per_run, seed=derive_seed(seed, "sampler", instance.instance_id)
+        sampler = make_sampler(per_run, task, instance)
+        log_path = None
+        if out_dir is not None:
+            # named by the suite: two suites never share a log file, and
+            # runs that derive their own sub-seeds keep one name per suite
+            suite = config_digest or sampler_config.digest()
+            log_path = os.path.join(out_dir, f"{instance.instance_id}-{suite}.jsonl")
+        try:
+            logs.append(
+                run_instance(
+                    task,
+                    instance,
+                    sampler,
+                    sampler_config,
+                    n_override=n_override,
+                    n_cap=n_cap,
+                    log_path=log_path,
+                    deterministic=deterministic,
+                    config_digest=config_digest,
                 )
-            sampler = make_sampler(per_run, task, instance)
-            log_path = None
-            if out_dir is not None:
-                # named by the suite: two suites never share a log file, and
-                # runs that derive their own sub-seeds keep one name per suite
-                suite = config_digest or sampler_config.digest()
-                log_path = os.path.join(out_dir, f"{instance.instance_id}-{suite}.jsonl")
-            try:
-                logs.append(
-                    run_instance(
-                        task,
-                        instance,
-                        sampler,
-                        sampler_config,
-                        n_override=n_override,
-                        n_cap=n_cap,
-                        log_path=log_path,
-                        deterministic=deterministic,
-                        config_digest=config_digest,
-                    )
-                )
-            finally:
-                if isinstance(sampler, RemoteSampler):
-                    sampler.close()
+            )
+        finally:
+            if isinstance(sampler, RemoteSampler):
+                sampler.close()
     return logs
+
+
+_JSON_TYPES = {str: "string", dict: "object", type(None): "null"}
+# the fields readers take from each kind of log line, with their JSON types;
+# a header's sampler is an object with _SAMPLER_FIELDS
+_LINE_FIELDS = {
+    "run_header": (
+        ("task", (str,)), ("difficulty", (str,)), ("instance_id", (str,)),
+        ("instance", (dict,)), ("sampler", (dict,)),
+    ),
+    "proposal": (("raw", (str,)), ("category", (str,)), ("canonical", (str, type(None)))),
+}
+_SAMPLER_FIELDS = (("kind", (str,)), ("digest", (str,)))
+
+
+def _missing_field(obj: dict, fields, prefix: str = "") -> str | None:
+    """The first of ``fields`` that ``obj`` lacks or holds with another JSON
+    type, named with its types; None when it holds them all."""
+    for name, types in fields:
+        if type(obj.get(name, ...)) not in types:
+            return f"{prefix}{name!r} " + " or ".join(_JSON_TYPES[t] for t in types)
+    return None
 
 
 def load_log(path) -> dict:
@@ -580,7 +607,9 @@ def load_log(path) -> dict:
     abort}; ``abort`` is the error of an ``abort`` line, else None.
 
     A line that is not a JSON object with a ``type`` (a log cut off
-    mid-line, say) or a missing run header raises LogFormatError.
+    mid-line, say), a header or proposal line without a field of
+    ``_LINE_FIELDS``, or a missing run header raises LogFormatError naming
+    the line and the field.
     """
     header = None
     proposals = []
@@ -595,10 +624,16 @@ def load_log(path) -> dict:
             try:
                 obj = json.loads(line)
                 kind = obj["type"]
+                fields = _LINE_FIELDS.get(kind, ())
             except (ValueError, KeyError, TypeError):
                 raise LogFormatError(
                     path, f"line {lineno} is not a JSON log record"
                 ) from None
+            missing = _missing_field(obj, fields)
+            if missing is None and kind == "run_header":
+                missing = _missing_field(obj["sampler"], _SAMPLER_FIELDS, "sampler ")
+            if missing is not None:
+                raise LogFormatError(path, f"line {lineno} has no {missing}")
             if kind == "run_header":
                 header = obj
             elif kind == "proposal":
@@ -634,6 +669,6 @@ def rescore_log(path) -> tuple[dict, metrics.MetricsSummary]:
     instance = load_instance(log["header"]["instance"])
     task = get_task(log["header"]["task"])
     scorer = metrics.RunScorer(task.admissible_count(instance))
-    for prop in log["proposals"]:
-        _judge(task, instance, scorer, prop["index"], prop["raw"])
+    for index, prop in enumerate(log["proposals"], start=1):
+        _judge(task, instance, scorer, index, prop["raw"])
     return log["summary"], _close(scorer)

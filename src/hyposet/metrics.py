@@ -46,6 +46,8 @@ CATEGORIES = (
     "duplicate_canonical",
     "valid_novel",
 )
+# the categories of a proposal consistent with the observations
+_VALID_CATEGORIES = frozenset(("duplicate_exact", "duplicate_canonical", "valid_novel"))
 
 TASK_ORDER = ("causal", "voxel", "bool")
 
@@ -180,14 +182,32 @@ class RunScorer:
     ) -> None:
         """Fold one classified proposal, and the evaluation it was
         classified with when known, into the running state."""
-        (self._valid_keys if record.valid else self._other_keys).add(record_key(record))
-        self._raw.setdefault(record.raw_text, evaluation)
-        self._counts[record.category] += 1
-        self._valid += record.valid
-        self._novel += record.novel
+        self._fold(
+            record.raw_text, record.parsed, record.category, record.valid,
+            record.novel, evaluation,
+        )
+
+    def observe_line(self, raw_text: str, parsed: str | None, category: str) -> str:
+        """Fold one stored proposal line and return its comparison key. Its
+        category is taken as written and its novelty decided by
+        ``is_novel``; an unknown category raises ValueError."""
+        if category not in self._counts:
+            raise ValueError(f"proposal category {category!r} is unknown")
+        key = parsed if parsed is not None else raw_text
+        valid = int(category in _VALID_CATEGORIES)
+        self._fold(raw_text, parsed, category, valid, self.is_novel(key, valid))
+        return key
+
+    def _fold(self, raw_text, parsed, category, valid, novel, evaluation=None):
+        key = parsed if parsed is not None else raw_text
+        (self._valid_keys if valid else self._other_keys).add(key)
+        self._raw.setdefault(raw_text, evaluation)
+        self._counts[category] += 1
+        self._valid += valid
+        self._novel += novel
         self.n += 1
-        if record.valid and record.parsed is not None:
-            self._valid_forms[record.parsed] += 1
+        if valid and parsed is not None:
+            self._valid_forms[parsed] += 1
         if self.admissible_size:
             self._curve.append(self._counts["valid_novel"] / self.admissible_size)
 
@@ -216,15 +236,10 @@ class RunScorer:
             coverage=coverage,
         )
 
-    def creativity(self, epsilon: float = 0.0) -> tuple[int, float]:
-        """(count of valid canonical forms whose empirical frequency exceeds
-        ``epsilon``, entropy in bits of that empirical distribution)."""
-        counts = self._valid_forms
-        if not counts:
-            return 0, 0.0
-        total = counts.total()
-        c_count = sum(1 for c in counts.values() if c / total > epsilon)
-        return c_count, _entropy_bits(counts.values())
+    def creativity(self) -> tuple[int, float]:
+        """(count of distinct valid canonical forms, entropy in bits of
+        their empirical distribution)."""
+        return len(self._valid_forms), _entropy_bits(self._valid_forms.values())
 
 
 def _as_scorer(run, admissible_set=()) -> RunScorer:
@@ -305,17 +320,14 @@ def info_gain_series(patterns) -> tuple[float, ...]:
     return tuple(series)
 
 
-def creativity_measures(records, epsilon: float = 0.0) -> tuple[int, float]:
-    """(hypothesis count above the plausibility threshold, posterior entropy
-    in bits).
+def creativity_measures(records) -> tuple[int, float]:
+    """(count of hypotheses with posterior mass, posterior entropy in bits).
 
     ``records`` is a RunScorer or a sequence of records. The posterior is the
     empirical frequency distribution over the run's valid canonical
     hypotheses. A run with no valid proposals scores (0, 0.0).
     """
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must satisfy 0 <= epsilon < 1")
-    return _as_scorer(records).creativity(epsilon)
+    return _as_scorer(records).creativity()
 
 
 # --- aggregation --------------------------------------------------------------

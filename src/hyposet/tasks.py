@@ -377,8 +377,17 @@ def get_task(name: str):
 
 
 def load_instance(data: dict):
-    """Rebuild an instance from its JSON representation (any task)."""
-    return get_task(data["task"]).from_json(data)
+    """Rebuild an instance from its JSON representation (any task). Data
+    that is not an object, lacks a field its task reads or holds one of the
+    wrong type raises ValueError naming the field or the type."""
+    if type(data) is not dict:
+        raise ValueError(f"an instance is a JSON object, not {type(data).__name__}")
+    try:
+        return get_task(data["task"]).from_json(data)
+    except KeyError as err:
+        raise ValueError(f"instance has no {err.args[0]!r} field") from None
+    except TypeError as err:
+        raise ValueError(f"instance holds a field of the wrong type: {err}") from None
 
 
 def difficulty_order(task_name: str) -> dict[str, int]:

@@ -77,12 +77,8 @@ def naive_summary(records, admissible):
     )
 
 
-def naive_creativity(records, epsilon=0.0):
+def naive_creativity(records):
     counts = Counter(r.parsed for r in records if r.valid and r.parsed is not None)
     if not counts:
         return 0, 0.0
-    total = sum(counts.values())
-    return (
-        sum(1 for c in counts.values() if c / total > epsilon),
-        _entropy_bits(counts.values()),
-    )
+    return len(counts), _entropy_bits(counts.values())

@@ -9,6 +9,7 @@ import pytest
 
 from hyposet import harness
 from hyposet.cli import SUMMARY_COLUMNS, SuiteConfig, main
+from hyposet.errors import LogFormatError
 from hyposet.harness import API_KEY_ENV, derive_seed
 
 
@@ -46,6 +47,25 @@ class TestGen:
             assert (a / "instances" / name).read_bytes() == (
                 b / "instances" / name
             ).read_bytes()
+
+    def test_run_logs_the_instances_gen_writes(self, tmp_path):
+        flags = ["--task", "voxel", "--difficulty", "1,3", "--count", "2",
+                 "--seed", "5", "--out", str(tmp_path), "--deterministic"]
+        assert run_cli("gen", *flags) == 0
+        assert run_cli("run", *flags, "--sampler", "oracle") == 0
+        written = []
+        for path in sorted((tmp_path / "instances").iterdir()):
+            data = json.loads(path.read_text())
+            del data["config_digest"]
+            written.append(data)
+        logged = [
+            json.loads(log.read_text().split("\n", 1)[0])["instance"]
+            for log in sorted((tmp_path / "logs").iterdir())
+        ]
+        assert [data["id"] for data in written] == [
+            "voxel-tp1-000", "voxel-tp1-001", "voxel-tp3-000", "voxel-tp3-001",
+        ]
+        assert logged == written
 
     def test_voxel_tp3_count(self, tmp_path):
         out = tmp_path / "o"
@@ -100,6 +120,19 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("validate", str(bad), "EDGES: none") == 3
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[]", "an instance is a JSON object, not list"),
+            ('{"task": "causal"}', "instance has no 'n' field"),
+        ],
+    )
+    def test_instance_file_of_the_wrong_shape(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert run_cli("validate", str(bad), "EDGES: none") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRun:
@@ -674,6 +707,12 @@ class TestReport:
             ({"h_o_size": 99}, "rr"),
             ("drop the last proposal line", "n"),
             ("recategorise a duplicate", "failure_counts"),
+            # an earlier valid line holds its key, so it is not novel: NR
+            # stands and RR, which counts valid_novel lines, does not
+            ("mark a duplicate valid_novel", "rr"),
+            ({"rr_at_k": [1.0]}, "rr_at_k"),
+            ({"c_count": 99}, "c_count"),
+            ({"c_entropy_bits": 0.5}, "c_entropy_bits"),
             # no number to check against
             ({"h_o_size": 0}, "summary h_o_size is 0, not an integer >= 1"),
             ("drop every proposal line", "no proposal lines"),
@@ -708,6 +747,11 @@ class TestReport:
             lines[-2]["category"] = "duplicate_canonical"
         elif edit == "unknown category":
             lines[-2]["category"] = "bogus"
+        elif edit == "mark a duplicate valid_novel":
+            lines[-2]["category"] = "valid_novel"
+            counts = lines[-1]["failure_counts"] = dict(summary["failure_counts"])
+            counts["duplicate_exact"] -= 1
+            counts["valid_novel"] += 1
         else:
             lines[-1].update(edit)
         logs[0].write_text("".join(json.dumps(line) + "\n" for line in lines))
@@ -715,7 +759,8 @@ class TestReport:
             given = {
                 **summary,
                 "n": summary["n"] - (edit == "drop the last proposal line"),
-                "rr": summary["rr"] * summary["h_o_size"] / lines[-1]["h_o_size"],
+                "rr": sum(line.get("category") == "valid_novel" for line in lines)
+                / lines[-1]["h_o_size"],
                 "failure_counts": {
                     category: sum(line.get("category") == category for line in lines)
                     for category in summary["failure_counts"]
@@ -734,6 +779,49 @@ class TestReport:
             (tmp_path / "r1" / "report.md").read_text()
             + f"\n## Skipped logs\n\n- `{logs[0].name}`: {reason}\n"
         )
+
+    @pytest.mark.parametrize(
+        "line, field, reason",
+        [
+            (0, "task", "line 1 has no 'task' string"),
+            (0, "difficulty", "line 1 has no 'difficulty' string"),
+            (0, "instance_id", "line 1 has no 'instance_id' string"),
+            (0, "instance", "line 1 has no 'instance' object"),
+            (0, "sampler", "line 1 has no 'sampler' object"),
+            (0, "sampler.kind", "line 1 has no sampler 'kind' string"),
+            (0, "sampler.digest", "line 1 has no sampler 'digest' string"),
+            (2, "category", "line 3 has no 'category' string"),
+            (2, "raw", "line 3 has no 'raw' string"),
+            (2, "canonical", "line 3 has no 'canonical' string or null"),
+        ],
+    )
+    def test_log_lacking_a_field_is_skipped(self, tmp_path, capsys, line, field, reason):
+        out = tmp_path / "o"
+        assert run_cli(
+            "run", "--task", "voxel", "--difficulty", "2", "--count", "2",
+            "--seed", "3", "--sampler", "random", "--out", str(out),
+            "--deterministic",
+        ) == 0
+        logs = sorted((out / "logs").iterdir())
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / logs[1].name).write_bytes(logs[1].read_bytes())
+        assert run_cli("report", str(alone), "--out", str(tmp_path / "r1")) == 0
+
+        lines = [json.loads(text) for text in logs[0].read_text().splitlines()]
+        owner, _, name = field.rpartition(".")
+        del (lines[line][owner] if owner else lines[line])[name]
+        logs[0].write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0
+        assert capsys.readouterr().err == f"warning: skipping {logs[0]}: {reason}\n"
+        assert (out / "report" / "report.md").read_text() == (
+            (tmp_path / "r1" / "report.md").read_text()
+            + f"\n## Skipped logs\n\n- `{logs[0].name}`: {reason}\n"
+        )
+        with pytest.raises(LogFormatError) as caught:
+            harness.rescore_log(logs[0])
+        assert caught.value.reason == reason
 
     def test_recount_keys_novelty_as_the_scorer_does(self, tmp_path, capsys):
         # A parse failure whose raw text equals a valid canonical form shares

@@ -204,25 +204,14 @@ class TestInfoGain:
 class TestCreativity:
     def test_uniform_over_four(self):
         records = build_run([valid(f"t{i}", f"h{i}") for i in (1, 2, 3, 4)])
-        assert creativity_measures(records, 0.1) == (4, 2.0)
+        assert creativity_measures(records) == (4, 2.0)
 
     def test_single_hypothesis(self):
         count, bits = creativity_measures(build_run([valid("t", "h1")]))
         assert (count, bits) == (1, 0.0)
 
-    def test_threshold(self):
-        records = build_run(
-            [valid("a", "h1")] * 3 + [valid("b", "h2")] * 2
-        )
-        count, _ = creativity_measures(records, 0.5)
-        assert count == 1
-
     def test_no_valid_proposals(self):
         assert creativity_measures(build_run([garbage("x")])) == (0, 0.0)
-
-    def test_epsilon_range(self):
-        with pytest.raises(ValueError):
-            creativity_measures([], 1.0)
 
 
 class TestCoverage:
