@@ -44,7 +44,6 @@ from .errors import (
 from .harness import (
     RunLog,
     SamplerConfig,
-    SamplerContext,
     derive_seed,
     load_log,
     make_sampler,

@@ -123,6 +123,7 @@ def _config_from_args(args) -> SuiteConfig:
         cfg.n_override = args.n
     if getattr(args, "deterministic", False):
         cfg.deterministic = True
+    _check("", _SUITE_TYPES, vars(cfg))  # the values the flags set too
     # generator overrides; a deciding override replaces the level sweep with
     # one "custom" level so instance ids stay unique
     for flag, key in (
@@ -157,6 +158,14 @@ def _config_from_args(args) -> SuiteConfig:
     if script_path is not None:
         cfg.sampler["script"] = _read_script(script_path)
     _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
+    kind = cfg.sampler.get("kind", "oracle")
+    if _SAMPLER_ALIASES.get(kind, kind) not in harness.SAMPLERS:
+        raise ConfigError(
+            f"unknown sampler kind {kind!r};"
+            f" expected one of {sorted([*harness.SAMPLERS, *_SAMPLER_ALIASES])}"
+        )
+    if kind == "scripted" and not cfg.sampler.get("script"):
+        raise ConfigError("scripted sampler needs at least one emission (--script)")
     return cfg
 
 
@@ -190,12 +199,13 @@ _AT_LEAST_1 = ((int,), lambda v: v >= 1, "an integer >= 1")
 _SUITE_TYPES = {
     "task": ((str,), None, "a string"),
     "difficulty": _STRINGS,
-    "count": ((int,), None, "an integer"),
+    "count": _AT_LEAST_1,
     "seed": ((int,), None, "an integer"),
     "out": ((str,), None, "a string"),
     "deterministic": ((bool,), None, "true or false"),
-    "n_cap": ((int,), None, "an integer"),
-    "n_override": ((int, type(None)), None, "an integer"),
+    "n_cap": _AT_LEAST_1,
+    "n_override": ((int, type(None)), lambda v: v is None or v >= 1,
+                   "an integer >= 1 or null"),
     "sampler": ((dict,), None, "an object"),
     "generate": ((dict,), None, "an object"),
     "digest": ((str,), None, "a string"),  # written by run, never read

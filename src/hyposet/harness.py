@@ -1,9 +1,12 @@
 """Sampling protocol: prompt rendering with history, sampler adapters, run
 execution with N = |H_O| by default, JSONL persistence, deterministic replay.
 
-Proposals within a run are strictly sequential because each prompt embeds the
-full emission history; distinct runs are independent. Every request to a
-remote endpoint is stateless, carrying the history inside the prompt.
+A sampler's ``next_proposal(history)`` gets the run's own list of earlier raw
+emissions: the same list on every call of a run, read-only for the sampler,
+with ``len(history)`` the attempt number less one. Proposals within a run are
+strictly sequential because each prompt embeds the full emission history;
+distinct runs are independent. Every request to a remote endpoint is
+stateless, carrying the history inside the prompt.
 """
 
 from __future__ import annotations
@@ -12,18 +15,16 @@ import contextlib
 import functools
 import hashlib
 import importlib.resources
-import itertools
 import json
 import os
 import time
 import urllib.parse
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import metrics
 from .errors import ConfigError, LogFormatError, SamplerExhausted, TransportFailure
-from .tasks import get_task
+from .tasks import TASKS, get_task
 
 if TYPE_CHECKING:
     from .transport import ChatConnection
@@ -42,46 +43,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class HistoryView(Sequence):
-    """Read-only view of the first ``length`` entries of an append-only
-    list: the emissions before one attempt, without copying them."""
-
-    __slots__ = ("_items", "_length")
-
-    def __init__(self, items: list[str], length: int):
-        if not 0 <= length <= len(items):
-            raise ValueError("a history view cannot reach past its list")
-        self._items = items
-        self._length = length
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._items[i] for i in range(self._length)[index])
-        return self._items[range(self._length)[index]]
-
-    def __iter__(self):
-        return itertools.islice(self._items, self._length)
-
-
-@dataclass(frozen=True)
-class SamplerContext:
-    """Everything a sampler may look at for one attempt."""
-
-    task: str
-    template_id: str
-    observations_text: str
-    schema_text: str
-    history: Sequence[str]  # the attempt_index - 1 earlier emissions
-    attempt_index: int  # 1-based
-
-    def __post_init__(self):
-        if len(self.history) != self.attempt_index - 1:
-            raise ValueError("history length must be attempt_index - 1")
-
-
 @functools.lru_cache(maxsize=None)
 def _template(template_id: str) -> str:
     """A prompt template's text, read once per process; unknown ids raise
@@ -94,30 +55,25 @@ def _template(template_id: str) -> str:
     return resource.read_text(encoding="utf-8")
 
 
-def _history_line(number: int, text: str) -> str:
+def prompt_base(task, instance) -> str:
+    """A run's prompt but for its history: the task's template with the
+    instance's observations and the output schema filled in."""
+    return (
+        _template(task.template_id)
+        .replace("{{observations}}", task.observations_text(instance))
+        .replace("{{schema}}", task.schema_text)
+    )
+
+
+def history_line(number: int, text: str) -> str:
+    """The prompt's line for the ``number``-th earlier emission, from 1."""
     return f"{number}. {text}"
 
 
-def render_prompt(context: SamplerContext, history_lines: Sequence[str] = ()) -> str:
-    """Deterministic prompt: task description, observations, output schema,
-    and the verbatim list of prior emissions, numbered from 1.
-
-    ``history_lines``, when given, must be those numbered lines of
-    ``context.history`` already formatted, as a caller that keeps them
-    across attempts holds them; without them each line is formatted here."""
-    template = _template(context.template_id)
-    if context.history:
-        history = "\n".join(
-            history_lines
-            or [_history_line(i, text) for i, text in enumerate(context.history, 1)]
-        )
-    else:
-        history = "(none)"
-    return (
-        template.replace("{{observations}}", context.observations_text)
-        .replace("{{schema}}", context.schema_text)
-        .replace("{{history}}", history)
-    )
+def render_prompt(base: str, history_lines: list[str]) -> str:
+    """Deterministic prompt: ``prompt_base`` with the verbatim list of prior
+    emissions, one ``history_line`` each."""
+    return base.replace("{{history}}", "\n".join(history_lines) or "(none)")
 
 
 @dataclass(frozen=True)
@@ -125,7 +81,7 @@ class SamplerConfig:
     """Configuration for one sampler; the remote auth token always comes from
     the environment and is never part of the config or any log."""
 
-    kind: str  # oracle | random_valid | scripted | remote
+    kind: str  # a key of SAMPLERS
     seed: int | None = None
     script: tuple[str, ...] | None = None
     endpoint: str | None = None
@@ -237,89 +193,86 @@ def send_chat(
 class OracleSampler:
     """Emits each admissible hypothesis exactly once, in canonical order."""
 
-    def __init__(self, task, instance):
+    def __init__(self, config, task, instance):
         self._iterator = task.admissible_texts(instance)
         self._cache: list[str] = []
 
-    def next_proposal(self, context: SamplerContext) -> str:
-        while len(self._cache) < context.attempt_index:
+    def next_proposal(self, history) -> str:
+        while len(self._cache) <= len(history):
             try:
                 self._cache.append(next(self._iterator))
             except StopIteration:
                 raise SamplerExhausted(
-                    f"oracle exhausted: attempt {context.attempt_index} is beyond"
+                    f"oracle exhausted: attempt {len(history) + 1} is beyond"
                     f" the admissible set of {len(self._cache)}"
                 )
-        return self._cache[context.attempt_index - 1]
+        return self._cache[len(history)]
 
 
 class RandomValidSampler:
     """Seed-deterministic uniform draws from the admissible set, with
-    replacement."""
+    replacement; no seed is seed 0."""
 
-    def __init__(self, task, instance, seed: int):
+    def __init__(self, config, task, instance):
         import random
 
         self._task = task
         self._instance = instance
-        self._rng = random.Random(seed)
+        self._rng = random.Random(config.seed or 0)
 
-    def next_proposal(self, context: SamplerContext) -> str:
+    def next_proposal(self, history) -> str:
         return self._task.sample_text(self._instance, self._rng)
 
 
 class ScriptedSampler:
     """Replays a fixed emission list, cycling when the run is longer."""
 
-    def __init__(self, script):
-        self._script = tuple(script)
+    def __init__(self, config, task, instance):
+        self._script = tuple(config.script or ())
         if not self._script:
             raise ConfigError("scripted sampler needs at least one emission")
 
-    def next_proposal(self, context: SamplerContext) -> str:
-        return self._script[(context.attempt_index - 1) % len(self._script)]
+    def next_proposal(self, history) -> str:
+        return self._script[len(history) % len(self._script)]
 
 
 class RemoteSampler:
     """One stateless chat request per proposal, all over one kept-alive
     connection per run; usage counters accumulate.
 
-    Each numbered history line is formatted once per run: while each
-    context's history extends the one before, only its new entries are
-    formatted. A history extends the one before when both are views of one
-    list, as ``run_instance`` passes them, it is no shorter, and it holds
-    the same object where the one before ended. Any other history is
-    formatted from scratch; two histories of one length can share their
-    last entry and still differ before it."""
+    The prompt's base is filled once per run and each numbered history line
+    formatted once: a history that is the list of the call before (as
+    ``run_instance`` passes it), no shorter, with the same object where that
+    call's history ended, has only its new entries formatted. Any other is
+    formatted anew; two lists can share their last entry and still differ."""
 
-    def __init__(self, config: SamplerConfig):
+    def __init__(self, config, task, instance):
         from .transport import ChatConnection
 
         self._config = config
+        self._base = prompt_base(task, instance)
         self._connection = ChatConnection(config.endpoint)
         self._lines: list[str] = []  # the numbered lines of the last history
-        self._items = None  # the list that history viewed
+        self._history = None  # that history
         self._last = None  # and its last entry
         self.total_tokens = 0
 
-    def _history_lines(self, history: Sequence[str]) -> list[str]:
+    def _history_lines(self, history) -> list[str]:
         seen = len(self._lines)
-        items = history._items if isinstance(history, HistoryView) else None
         if (
-            items is None
-            or items is not self._items
+            history is not self._history
             or len(history) < seen
             or (seen and history[seen - 1] is not self._last)
         ):
             self._lines, seen = [], 0
         for number in range(seen + 1, len(history) + 1):
-            self._lines.append(_history_line(number, history[number - 1]))
-        self._items = items
+            self._lines.append(history_line(number, history[number - 1]))
+        self._history = history
         self._last = history[-1] if history else None
         return self._lines
 
-    def next_proposal(self, context: SamplerContext) -> str:
-        prompt = render_prompt(context, self._history_lines(context.history))
+    def next_proposal(self, history) -> str:
+        prompt = render_prompt(self._base, self._history_lines(history))
         content, usage = send_chat(self._config, prompt, connection=self._connection)
         self.total_tokens += usage.get("total_tokens", 0)
         return content
@@ -329,17 +282,19 @@ class RemoteSampler:
         self._connection.close()
 
 
+SAMPLERS = {
+    "oracle": OracleSampler,
+    "random_valid": RandomValidSampler,
+    "scripted": ScriptedSampler,
+    "remote": RemoteSampler,
+}
+
+
 def make_sampler(config: SamplerConfig, task, instance):
-    if config.kind == "oracle":
-        return OracleSampler(task, instance)
-    if config.kind == "random_valid":
-        seed = config.seed if config.seed is not None else 0
-        return RandomValidSampler(task, instance, seed)
-    if config.kind == "scripted":
-        return ScriptedSampler(config.script or ())
-    if config.kind == "remote":
-        return RemoteSampler(config)
-    raise ConfigError(f"unknown sampler kind {config.kind!r}")
+    """A new sampler of ``config.kind`` for one run over ``instance``."""
+    if config.kind not in SAMPLERS:
+        raise ConfigError(f"unknown sampler kind {config.kind!r}")
+    return SAMPLERS[config.kind](config, task, instance)
 
 
 @dataclass(frozen=True)
@@ -401,8 +356,9 @@ def run_instance(
     """Draw N proposals (N = |H_O| capped at ``n_cap`` unless overridden),
     classify each one, and persist the log incrementally as JSONL.
 
-    An exception from the sampler ends the run with an ``abort`` line: the
-    run is incomplete and has no summary."""
+    Each ``sampler.next_proposal`` call gets the run's one list of earlier
+    raw emissions. An exception from the sampler ends the run with an
+    ``abort`` line: the run is incomplete and has no summary."""
     count = task.admissible_count(instance)
     n = n_override if n_override is not None else min(count, n_cap)
     if n < 1:
@@ -426,7 +382,6 @@ def run_instance(
     writer = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     started = time.perf_counter()
     scorer = metrics.RunScorer(count)
-    observations_text = task.observations_text(instance)
     records: list[metrics.ProposalRecord] = []
     history: list[str] = []
     complete = True
@@ -436,16 +391,8 @@ def run_instance(
             writer.write(_json_line(header))
             writer.flush()
         for index in range(1, n + 1):
-            context = SamplerContext(
-                task=task.name,
-                template_id=task.template_id,
-                observations_text=observations_text,
-                schema_text=task.schema_text,
-                history=HistoryView(history, index - 1),
-                attempt_index=index,
-            )
             try:
-                raw = sampler.next_proposal(context)
+                raw = sampler.next_proposal(history)
             except Exception as err:  # a faulty sampler ends its run only
                 complete = False
                 known = isinstance(err, (TransportFailure, SamplerExhausted))
@@ -608,8 +555,8 @@ def load_log(path) -> dict:
 
     A line that is not a JSON object with a ``type`` (a log cut off
     mid-line, say), a header or proposal line without a field of
-    ``_LINE_FIELDS``, or a missing run header raises LogFormatError naming
-    the line and the field.
+    ``_LINE_FIELDS``, a header naming an unknown task, or a missing run
+    header raises LogFormatError naming the line and the field or task.
     """
     header = None
     proposals = []
@@ -635,6 +582,10 @@ def load_log(path) -> dict:
             if missing is not None:
                 raise LogFormatError(path, f"line {lineno} has no {missing}")
             if kind == "run_header":
+                if obj["task"] not in TASKS:
+                    raise LogFormatError(
+                        path, f"line {lineno} names an unknown task {obj['task']!r}"
+                    )
                 header = obj
             elif kind == "proposal":
                 proposals.append(obj)

@@ -12,8 +12,9 @@ class StubChatServer:
     Script items are either ("content", text) for a 200 completion or
     ("status", code) for a bare error response, which may carry a dict of
     extra headers as a third element. Requests beyond the script repeat the
-    last item. All request payloads are recorded, with the request target
-    and the client's (host, port), so tests can count connections. With
+    last item. All request payloads are recorded, parsed and as the bytes
+    received, with the request target and the client's (host, port), so
+    tests can count connections. With
     ``drop_after_response`` the server closes each connection after its
     response without saying so in a header, as an idle timeout does.
     """
@@ -39,9 +40,9 @@ class StubChatServer:
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
                 outer.requests.append(
-                    {"path": self.path, "body": body,
+                    {"path": self.path, "body": json.loads(raw or b"{}"), "raw": raw,
                      "auth": self.headers.get("Authorization"),
                      "proxy_auth": self.headers.get("Proxy-Authorization"),
                      "client": self.client_address}

@@ -400,10 +400,10 @@ class TestRun:
             def __init__(self, sampler):
                 self._sampler = sampler
 
-            def next_proposal(self, context):
-                if context.attempt_index == 3:
+            def next_proposal(self, history):
+                if len(history) == 2:
                     raise RuntimeError("sampler fell over")
-                return self._sampler.next_proposal(context)
+                return self._sampler.next_proposal(history)
 
         def faulty_second(config, task, instance):
             sampler = make_sampler(config, task, instance)
@@ -446,6 +446,10 @@ class TestRun:
             ("generate", [], "an object"),
             ("n_override", "5", "an integer"),
             ("n_override", False, "an integer"),
+            ("count", 0, "an integer >= 1, not 0"),
+            ("n_cap", 0, "an integer >= 1, not 0"),
+            ("n_override", 0, "an integer >= 1 or null, not 0"),
+            ("--count -2", {}, "config key 'count' must be an integer >= 1, not -2"),
             # generator options: flags, the file's generate section, message
             ("--task causal", {"nodes": "5"},
              "generate config key 'nodes' must be an integer >= 1, not \"5\""),
@@ -474,6 +478,45 @@ class TestRun:
             assert run_cli(command, "--config", str(path), *flags) == 3
             assert expected in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, sampler, expected",
+        [
+            ([], {"kind": "bogus"}, "unknown sampler kind 'bogus'"),
+            (["--sampler", "scripted"], None,
+             "scripted sampler needs at least one emission"),
+            (["--sampler", "scripted", "--script", "empty.txt"], None,
+             "scripted sampler needs at least one emission"),
+            ([], {"kind": "scripted", "script": []},
+             "scripted sampler needs at least one emission"),
+            (["--n-cap", "0"], None, "config key 'n_cap' must be an integer >= 1, not 0"),
+            (["--n", "0"], None,
+             "config key 'n_override' must be an integer >= 1 or null, not 0"),
+        ],
+    )
+    def test_unusable_sampler_or_run_value_writes_nothing(
+        self, tmp_path, capsys, flags, sampler, expected
+    ):
+        config = {"task": "causal", "difficulty": ["1"], "count": 1,
+                  "out": str(tmp_path / "o")}
+        if sampler is not None:
+            config["sampler"] = sampler
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (tmp_path / "empty.txt").write_text("\n")
+        flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+        assert run_cli("run", "--config", str(path), *flags) == 3
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_random_alias_in_a_config_file_runs(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"task": "causal", "difficulty": ["1"], "count": 1,
+                                    "out": str(tmp_path / "o"),
+                                    "sampler": {"kind": "random"}}))
+        assert run_cli("run", "--config", str(path), "--deterministic") == 0
+        (row,) = read_csv(tmp_path / "o" / "summary.csv")
+        assert row["sampler"].startswith("random_valid:")
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -793,6 +836,7 @@ class TestReport:
             (2, "category", "line 3 has no 'category' string"),
             (2, "raw", "line 3 has no 'raw' string"),
             (2, "canonical", "line 3 has no 'canonical' string or null"),
+            (0, "task=bogus", "line 1 names an unknown task 'bogus'"),
         ],
     )
     def test_log_lacking_a_field_is_skipped(self, tmp_path, capsys, line, field, reason):
@@ -810,7 +854,12 @@ class TestReport:
 
         lines = [json.loads(text) for text in logs[0].read_text().splitlines()]
         owner, _, name = field.rpartition(".")
-        del (lines[line][owner] if owner else lines[line])[name]
+        name, _, value = name.partition("=")
+        target = lines[line][owner] if owner else lines[line]
+        if value:  # "name=value" sets the field instead of deleting it
+            target[name] = value
+        else:
+            del target[name]
         logs[0].write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         capsys.readouterr()
         assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0

@@ -15,13 +15,13 @@ from hyposet import harness
 from hyposet.errors import ConfigError, TransportFailure
 from hyposet.harness import (
     API_KEY_ENV,
-    HistoryView,
     RemoteSampler,
     SamplerConfig,
-    SamplerContext,
     derive_seed,
+    history_line,
     load_log,
     make_sampler,
+    prompt_base,
     render_prompt,
     rescore_log,
     run_instance,
@@ -35,15 +35,9 @@ from stubserver import StubChatServer
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy")
 
 
-def context_for(task, instance, history=(), attempt=None):
-    return SamplerContext(
-        task=task.name,
-        template_id=task.template_id,
-        observations_text=task.observations_text(instance),
-        schema_text=task.schema_text,
-        history=tuple(history),
-        attempt_index=attempt if attempt is not None else len(history) + 1,
-    )
+def prompt_for(task, instance, history=()):
+    lines = [history_line(i, text) for i, text in enumerate(history, 1)]
+    return render_prompt(prompt_base(task, instance), lines)
 
 
 @pytest.fixture(scope="module")
@@ -52,42 +46,10 @@ def causal_setup():
     return task, task.generate(seed=11, level="1")
 
 
-class TestContext:
-    def test_history_length_invariant(self, causal_setup):
-        task, inst = causal_setup
-        with pytest.raises(ValueError):
-            context_for(task, inst, history=("a",), attempt=1)
-        with pytest.raises(ValueError):
-            dataclasses.replace(
-                context_for(task, inst), history=HistoryView(["a", "b"], 1)
-            )
-
-    def test_history_view_reads_a_fixed_prefix(self):
-        items = ["a", "b", "c"]
-        view = HistoryView(items, 2)
-        items.append("d")
-        assert len(view) == 2 and list(view) == ["a", "b"]
-        assert (view[0], view[-1]) == ("a", "b")
-        assert (view[1:], view[::-1]) == (("b",), ("b", "a"))
-        with pytest.raises(IndexError):
-            view[2]
-        assert "b" in view and "c" not in view
-        with pytest.raises(ValueError):
-            HistoryView(items, 5)
-
-    def test_prompt_over_a_view_equals_the_prompt_over_a_copy(self, causal_setup):
-        task, inst = causal_setup
-        items = ["EDGES: A>B", "garbage", "EDGES: none"]
-        for length in range(len(items) + 1):
-            copied = context_for(task, inst, history=items[:length])
-            viewed = dataclasses.replace(copied, history=HistoryView(items, length))
-            assert render_prompt(viewed) == render_prompt(copied)
-
-
 class TestRenderPrompt:
     def test_each_observation_exactly_once(self, causal_setup):
         task, inst = causal_setup
-        prompt = render_prompt(context_for(task, inst))
+        prompt = prompt_for(task, inst)
         for obs in inst.observations:
             import hyposet.causal as causal
 
@@ -96,24 +58,22 @@ class TestRenderPrompt:
 
     def test_deterministic(self, causal_setup):
         task, inst = causal_setup
-        assert render_prompt(context_for(task, inst)) == render_prompt(
-            context_for(task, inst)
-        )
+        assert prompt_for(task, inst) == prompt_for(task, inst)
 
     def test_history_quoted_verbatim(self, causal_setup):
         task, inst = causal_setup
         history = ("EDGES: A>B", "total garbage ((")
-        prompt = render_prompt(context_for(task, inst, history=history))
+        prompt = prompt_for(task, inst, history=history)
         for item in history:
             assert item in prompt
 
-    def test_unknown_template(self, causal_setup):
+    def test_unknown_template(self, causal_setup, monkeypatch):
         task, inst = causal_setup
-        ctx = dataclasses.replace(context_for(task, inst), template_id="nope")
+        monkeypatch.setattr(task, "template_id", "nope")
         with pytest.raises(ConfigError):
-            render_prompt(ctx)
+            prompt_base(task, inst)
         with pytest.raises(ConfigError):
-            render_prompt(ctx)
+            prompt_base(task, inst)
 
     def test_template_read_once(self, causal_setup, monkeypatch):
         task, inst = causal_setup
@@ -123,15 +83,14 @@ class TestRenderPrompt:
         monkeypatch.setattr(
             importlib.resources, "files", lambda pkg: reads.append(pkg) or files(pkg)
         )
-        prompts = {render_prompt(context_for(task, inst)) for _ in range(3)}
+        prompts = {prompt_for(task, inst) for _ in range(3)}
         assert len(prompts) == 1 and len(reads) == 1
 
     def test_no_leak_of_admissible_or_latent(self, causal_setup):
         task, inst = causal_setup
-        ctx = context_for(task, inst)
         # the schema text carries a fixed format example; everything else in
         # the prompt must stay free of answer edges
-        body = render_prompt(ctx).replace(ctx.schema_text, "")
+        body = prompt_for(task, inst).replace(task.schema_text, "")
         for canon in inst.admissible:
             for edge in canon.split(";"):
                 if edge:
@@ -145,20 +104,20 @@ class TestSamplers:
         sampler = make_sampler(SamplerConfig(kind="oracle"), task, inst)
         history = []
         for _ in range(task.admissible_count(inst)):
-            history.append(sampler.next_proposal(context_for(task, inst, history)))
+            history.append(sampler.next_proposal(history))
         assert history == list(task.admissible_texts(inst))
         with pytest.raises(ValueError):
-            sampler.next_proposal(context_for(task, inst, history))
+            sampler.next_proposal(history)
 
     def test_random_valid_deterministic_and_admissible(self, causal_setup):
         task, inst = causal_setup
         config = SamplerConfig(kind="random_valid", seed=5)
         first = [
-            make_sampler(config, task, inst).next_proposal(context_for(task, inst))
+            make_sampler(config, task, inst).next_proposal([])
             for _ in range(1)
         ]
         second = [
-            make_sampler(config, task, inst).next_proposal(context_for(task, inst))
+            make_sampler(config, task, inst).next_proposal([])
             for _ in range(1)
         ]
         assert first == second
@@ -166,7 +125,7 @@ class TestSamplers:
         sampler = make_sampler(config, task, inst)
         history = []
         for _ in range(8):
-            text = sampler.next_proposal(context_for(task, inst, history))
+            text = sampler.next_proposal(history)
             history.append(text)
             ev = task.evaluate_text(inst, text)
             assert ev.valid and ev.canonical in keys
@@ -175,11 +134,7 @@ class TestSamplers:
         sampler = make_sampler(
             SamplerConfig(kind="scripted", script=("a", "b")), None, None
         )
-        ctx = lambda i: SamplerContext(
-            task="causal", template_id="causal", observations_text="",
-            schema_text="", history=("x",) * (i - 1), attempt_index=i,
-        )
-        assert [sampler.next_proposal(ctx(i)) for i in (1, 2, 3, 4)] == [
+        assert [sampler.next_proposal(["x"] * i) for i in range(4)] == [
             "a", "b", "a", "b",
         ]
 
@@ -200,6 +155,26 @@ class TestSamplers:
 
 
 class TestRunInstance:
+    def test_each_call_gets_the_runs_one_history_list(self, causal_setup):
+        task, inst = causal_setup
+        config = SamplerConfig(
+            kind="scripted", script=("EDGES: A>B", "no", "EDGES: none")
+        )
+        scripted = make_sampler(config, task, inst)
+        calls = []
+
+        class Recording:
+            def next_proposal(self, history):
+                calls.append((history, list(history)))
+                return scripted.next_proposal(history)
+
+        log = run_instance(task, inst, Recording(), config, n_override=7)
+        raws = [record.raw_text for record in log.records]
+        assert len(calls) == 7 and type(calls[0][0]) is list
+        for attempt, (history, seen) in enumerate(calls, start=1):
+            assert history is calls[0][0]
+            assert seen == raws[: attempt - 1]
+
     def test_oracle_ceiling(self, causal_setup, tmp_path):
         task, inst = causal_setup
         config = SamplerConfig(kind="oracle")
@@ -443,7 +418,7 @@ class TestSendChat:
             )
             path = tmp_path / "partial.jsonl"
             log = run_instance(
-                task, inst, RemoteSampler(config), config,
+                task, inst, RemoteSampler(config, task, inst), config,
                 n_override=3, log_path=path,
             )
         assert not log.complete and log.summary is None
@@ -465,7 +440,7 @@ class TestSendChat:
             config = SamplerConfig(
                 kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
             )
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
             log = run_instance(task, inst, sampler, config, n_override=3)
             sampler.close()
         assert log.complete and log.summary.vr == 1.0
@@ -541,7 +516,7 @@ class TestTransport:
         script = [("content", t) for t in texts]
         with StubChatServer(script, drop_after_response=True) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url, max_attempts=1)
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
             try:
                 log = run_instance(task, inst, sampler, config, n_override=len(texts))
             finally:

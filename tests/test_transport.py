@@ -13,11 +13,11 @@ from hyposet import harness, transport
 from hyposet.cli import main
 from hyposet.harness import (
     API_KEY_ENV,
-    HistoryView,
     RemoteSampler,
     SamplerConfig,
-    SamplerContext,
+    history_line,
     load_log,
+    prompt_base,
     render_prompt,
     run_instance,
     send_chat,
@@ -272,7 +272,7 @@ class TestCompletionBody:
         inst = task.generate(seed=11, level="1")
         with RawServer([(completion(content), False)]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
             path = tmp_path / "run.jsonl"
             try:
                 log = run_instance(task, inst, sampler, config, n_override=2,
@@ -318,23 +318,18 @@ class TestCompletionBody:
         with RawServer(replies) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
             assert send_chat(config, "p") == ("EDGES: none", usage if kept else {})
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
             try:
-                sampler.next_proposal(_context(task, inst, []))
+                sampler.next_proposal([])
             finally:
                 sampler.close()
         assert sampler.total_tokens == (usage.get("total_tokens", 0) if kept else 0)
 
 
-def _context(task, instance, history):
-    return SamplerContext(
-        task=task.name,
-        template_id=task.template_id,
-        observations_text=task.observations_text(instance),
-        schema_text=task.schema_text,
-        history=history,
-        attempt_index=len(history) + 1,
-    )
+def _prompt(task, instance, history):
+    """The prompt for ``history``, every line formatted here."""
+    lines = [history_line(i, text) for i, text in enumerate(history, 1)]
+    return render_prompt(prompt_base(task, instance), lines)
 
 
 class TestPromptBodies:
@@ -347,13 +342,13 @@ class TestPromptBodies:
         ]
         with StubChatServer(script, drop_after_response=True) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url, max_attempts=2)
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
             try:
                 log = run_instance(task, inst, sampler, config, n_override=len(texts))
             finally:
                 sampler.close()
         assert log.complete
-        expected = [render_prompt(_context(task, inst, texts[:i])) for i in range(4)]
+        expected = [_prompt(task, inst, texts[:i]) for i in range(4)]
         expected.insert(1, expected[1])  # the 503 is retried with its prompt
         sent = [r["body"]["messages"][0]["content"] for r in server.requests]
         assert sent == expected
@@ -363,30 +358,52 @@ class TestPromptBodies:
         task = get_task("causal")
         inst = task.generate(seed=11, level="1")
         a, b, c = (f"EDGES: X{i}->X2" for i in range(3))
-        shared, other = [a, b, c], [b, a, c]
-        histories = [
-            HistoryView(shared, 2),
-            HistoryView(shared, 3),  # extends the one before
-            HistoryView(other, 3),  # as long, with the same last entry
-            HistoryView(other, 1),  # shorter
-            HistoryView(other, 3),
-            (b, a, c),  # not a view
-            (b, a, c, a),
-            HistoryView(shared, 0),
-            HistoryView(shared, 1),
-        ]
-        expected = [render_prompt(_context(task, inst, h)) for h in histories]
+        shared, other, fresh = [a, b], [b, a, c], []
+        expected = []
         with StubChatServer([("content", "EDGES: none")]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
-            sampler = RemoteSampler(config)
+            sampler = RemoteSampler(config, task, inst)
+
+            def propose(history):
+                expected.append(_prompt(task, inst, history))
+                sampler.next_proposal(history)
+
             try:
-                for history in histories:
-                    sampler.next_proposal(_context(task, inst, history))
-                # an entry replaced in place: the list was not append-only
-                shared[0] = c
-                expected.append(render_prompt(_context(task, inst, shared[:2])))
-                sampler.next_proposal(_context(task, inst, HistoryView(shared, 2)))
+                propose(shared)
+                shared.append(c)
+                propose(shared)  # extends the one before
+                propose(other)  # another list as long, with the same last entry
+                del other[1:]
+                propose(other)  # shorter
+                other.extend([a, c])
+                propose(other)
+                propose((b, a, c))  # not a list
+                propose((b, a, c, a))
+                propose(fresh)
+                fresh.append(a)
+                propose(fresh)
+                fresh[0] = c  # an entry replaced in place: not append-only
+                propose(fresh)
             finally:
                 sampler.close()
         sent = [r["body"]["messages"][0]["content"] for r in server.requests]
         assert sent == expected
+
+    def test_observations_are_rendered_once_per_run(self, remote, monkeypatch):
+        task = get_task("voxel")
+        inst = task.generate(seed=5, level="2")
+        rendered = []
+        observations_text = task.observations_text
+        monkeypatch.setattr(
+            task, "observations_text",
+            lambda instance: rendered.append(instance) or observations_text(instance),
+        )
+        with StubChatServer([("content", "LAYERS:\n1")]) as server:
+            config = SamplerConfig(kind="remote", endpoint=server.url)
+            sampler = RemoteSampler(config, task, inst)
+            try:
+                log = run_instance(task, inst, sampler, config, n_override=4)
+            finally:
+                sampler.close()
+        assert len(log.records) == 4 and len(server.requests) == 4
+        assert rendered == [inst]
