@@ -44,6 +44,7 @@ from .errors import (
 from .harness import (
     RunLog,
     SamplerConfig,
+    chat_body,
     derive_seed,
     load_log,
     make_sampler,

@@ -27,7 +27,7 @@ from .errors import (
     TransportFailure,
 )
 from .harness import DEFAULT_N_CAP, SamplerConfig, load_log, run_suite, suite_instances
-from .tasks import difficulty_order, get_task, load_instance
+from .tasks import TASKS, difficulty_order, get_task, load_instance
 
 SUMMARY_COLUMNS = [
     "task",
@@ -52,6 +52,8 @@ SUMMARY_COLUMNS = [
 ENTROPY_COLUMNS = ["instance_id", "t", "H_t", "delta_I_t"]
 
 _SAMPLER_ALIASES = {"random": "random_valid"}
+# what --sampler and a config's "kind" accept
+_SAMPLER_KINDS = sorted([*harness.SAMPLERS, *_SAMPLER_ALIASES])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,10 +161,9 @@ def _config_from_args(args) -> SuiteConfig:
         cfg.sampler["script"] = _read_script(script_path)
     _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
     kind = cfg.sampler.get("kind", "oracle")
-    if _SAMPLER_ALIASES.get(kind, kind) not in harness.SAMPLERS:
+    if kind not in _SAMPLER_KINDS:
         raise ConfigError(
-            f"unknown sampler kind {kind!r};"
-            f" expected one of {sorted([*harness.SAMPLERS, *_SAMPLER_ALIASES])}"
+            f"unknown sampler kind {kind!r}; expected one of {_SAMPLER_KINDS}"
         )
     if kind == "scripted" and not cfg.sampler.get("script"):
         raise ConfigError("scripted sampler needs at least one emission (--script)")
@@ -593,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--task", choices=["causal", "voxel", "bool"])
+        p.add_argument("--task", choices=list(TASKS))
         p.add_argument("--difficulty", help="comma-separated difficulty levels")
         p.add_argument("--count", type=int, help="instances per level")
         p.add_argument("--seed", type=int)
@@ -621,9 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a sampling suite")
     add_common(p_run)
-    p_run.add_argument(
-        "--sampler", choices=["oracle", "random", "scripted", "remote"]
-    )
+    p_run.add_argument("--sampler", choices=_SAMPLER_KINDS)
     p_run.add_argument("--script", help="scripted sampler emission file")
     p_run.add_argument("--endpoint", help="remote chat completions URL")
     p_run.add_argument("--model", help="remote model name")

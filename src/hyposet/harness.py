@@ -6,7 +6,9 @@ emissions: the same list on every call of a run, read-only for the sampler,
 with ``len(history)`` the attempt number less one. Proposals within a run are
 strictly sequential because each prompt embeds the full emission history;
 distinct runs are independent. Every request to a remote endpoint is
-stateless, carrying the history inside the prompt.
+stateless, carrying the history inside the prompt. Its body is ``chat_body``
+of ``render_prompt``'s prompt; JSON escapes a string one character at a time,
+so the remote sampler joins the same bytes from pieces it escapes once.
 """
 
 from __future__ import annotations
@@ -70,10 +72,19 @@ def history_line(number: int, text: str) -> str:
     return f"{number}. {text}"
 
 
+HISTORY_MARKER, HISTORY_SEPARATOR, EMPTY_HISTORY = "{{history}}", "\n", "(none)"
+
+
 def render_prompt(base: str, history_lines: list[str]) -> str:
     """Deterministic prompt: ``prompt_base`` with the verbatim list of prior
     emissions, one ``history_line`` each."""
-    return base.replace("{{history}}", "\n".join(history_lines) or "(none)")
+    history = HISTORY_SEPARATOR.join(history_lines) or EMPTY_HISTORY
+    return base.replace(HISTORY_MARKER, history)
+
+
+def _json_text(text: str) -> bytes:
+    """``text`` as the inside of a JSON string, escaped as ``json.dumps`` does."""
+    return json.dumps(text).encode()[1:-1]
 
 
 @dataclass(frozen=True)
@@ -123,10 +134,21 @@ def _retry_after(headers: dict) -> int | None:
     return None
 
 
+def chat_body(config: SamplerConfig, prompt: str) -> bytes:
+    """The request body that asks ``config``'s model about ``prompt``."""
+    message = {"role": "user", "content": prompt}
+    payload: dict = {"model": config.model or "", "messages": [message]}
+    if config.temperature is not None:
+        payload["temperature"] = config.temperature
+    if config.max_tokens is not None:
+        payload["max_tokens"] = config.max_tokens
+    return json.dumps(payload).encode()
+
+
 def send_chat(
-    config: SamplerConfig, prompt: str, connection: ChatConnection | None = None
+    config: SamplerConfig, body: bytes, connection: ChatConnection | None = None
 ) -> tuple[str, dict]:
-    """One chat-completions request; returns (content, usage).
+    """One chat-completions request of a ``chat_body``; returns (content, usage).
 
     ``usage`` is the response's usage object, or ``{}`` when it has none, it
     is not an object, or its ``total_tokens`` is not an integer.
@@ -143,17 +165,8 @@ def send_chat(
 
     if connection is None:
         with contextlib.closing(transport.ChatConnection(config.endpoint)) as own:
-            return send_chat(config, prompt, own)
+            return send_chat(config, body, own)
     token = config.remote_token()
-    payload: dict = {
-        "model": config.model or "",
-        "messages": [{"role": "user", "content": prompt}],
-    }
-    if config.temperature is not None:
-        payload["temperature"] = config.temperature
-    if config.max_tokens is not None:
-        payload["max_tokens"] = config.max_tokens
-    body = json.dumps(payload).encode()
     headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
     last_error = "no attempt made"
     delay = None
@@ -240,24 +253,30 @@ class RemoteSampler:
     """One stateless chat request per proposal, all over one kept-alive
     connection per run; usage counters accumulate.
 
-    The prompt's base is filled once per run and each numbered history line
-    formatted once: a history that is the list of the call before (as
-    ``run_instance`` passes it), no shorter, with the same object where that
-    call's history ended, has only its new entries formatted. Any other is
-    formatted anew; two lists can share their last entry and still differ."""
+    A body is the ``chat_body`` of the prompt base, made once per run and
+    split at its history marker, joined by the history's lines, each escaped
+    once: a history that is the list of the call before (as ``run_instance``
+    passes it), no shorter, with the same object where that call's history
+    ended, has only its new entries escaped. Any other is escaped anew; two
+    lists can share their last entry and still differ."""
+
+    _SEPARATOR, _EMPTY = _json_text(HISTORY_SEPARATOR), _json_text(EMPTY_HISTORY)
 
     def __init__(self, config, task, instance):
         from .transport import ChatConnection
 
         self._config = config
-        self._base = prompt_base(task, instance)
+        base = prompt_base(task, instance)
+        body, markers = chat_body(config, base), base.count(HISTORY_MARKER)
+        # the prompt's markers are the body's last: only numbers follow the prompt
+        self._parts = body.rsplit(_json_text(HISTORY_MARKER), markers)
         self._connection = ChatConnection(config.endpoint)
-        self._lines: list[str] = []  # the numbered lines of the last history
+        self._lines: list[bytes] = []  # the escaped lines of the last history
         self._history = None  # that history
         self._last = None  # and its last entry
         self.total_tokens = 0
 
-    def _history_lines(self, history) -> list[str]:
+    def _history_lines(self, history) -> list[bytes]:
         seen = len(self._lines)
         if (
             history is not self._history
@@ -266,14 +285,15 @@ class RemoteSampler:
         ):
             self._lines, seen = [], 0
         for number in range(seen + 1, len(history) + 1):
-            self._lines.append(history_line(number, history[number - 1]))
+            self._lines.append(_json_text(history_line(number, history[number - 1])))
         self._history = history
         self._last = history[-1] if history else None
         return self._lines
 
     def next_proposal(self, history) -> str:
-        prompt = render_prompt(self._base, self._history_lines(history))
-        content, usage = send_chat(self._config, prompt, connection=self._connection)
+        text = self._SEPARATOR.join(self._history_lines(history)) or self._EMPTY
+        body = text.join(self._parts)
+        content, usage = send_chat(self._config, body, connection=self._connection)
         self.total_tokens += usage.get("total_tokens", 0)
         return content
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -517,6 +518,18 @@ class TestRun:
         assert run_cli("run", "--config", str(path), "--deterministic") == 0
         (row,) = read_csv(tmp_path / "o" / "summary.csv")
         assert row["sampler"].startswith("random_valid:")
+
+    def test_random_valid_flag_runs_as_its_alias(self, tmp_path, monkeypatch):
+        trees = []
+        for kind in ("random", "random_valid"):
+            (tmp_path / kind).mkdir()
+            monkeypatch.chdir(tmp_path / kind)  # the same relative --out
+            assert run_cli("run", "--task", "causal", "--difficulty", "1",
+                           "--count", "2", "--sampler", kind, "--out", "o",
+                           "--deterministic") == 0
+            trees.append({str(p.relative_to("o")): p.read_bytes()
+                          for p in sorted(Path("o").rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1] and len(trees[0]) == 5
 
     @pytest.mark.parametrize(
         "flags, expected",

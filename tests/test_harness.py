@@ -17,6 +17,7 @@ from hyposet.harness import (
     API_KEY_ENV,
     RemoteSampler,
     SamplerConfig,
+    chat_body,
     derive_seed,
     history_line,
     load_log,
@@ -353,7 +354,7 @@ class TestSendChat:
             config = SamplerConfig(
                 kind="remote", endpoint=server.url, model="stub", backoff=0.01
             )
-            content, usage = send_chat(config, "hi")
+            content, usage = send_chat(config, chat_body(config, "hi"))
             assert content == "hello there"
             assert usage["total_tokens"] == 7
             assert server.requests[0]["auth"] == "Bearer test-token"
@@ -365,7 +366,7 @@ class TestSendChat:
             config = SamplerConfig(
                 kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
             )
-            content, _ = send_chat(config, "p")
+            content, _ = send_chat(config, chat_body(config, "p"))
             assert content == "recovered"
             assert len(server.requests) == 2  # exactly one retry
 
@@ -375,7 +376,7 @@ class TestSendChat:
             config = SamplerConfig(
                 kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
             )
-            assert send_chat(config, "p")[0] == "recovered"
+            assert send_chat(config, chat_body(config, "p"))[0] == "recovered"
             assert len(server.requests) == 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 301, 307])
@@ -386,7 +387,7 @@ class TestSendChat:
                 kind="remote", endpoint=server.url, backoff=0.01, max_attempts=3
             )
             with pytest.raises(TransportFailure, match=f"HTTP {status}"):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
             assert len(server.requests) == 1
 
     def test_exhausted_retries(self, monkeypatch):
@@ -396,7 +397,7 @@ class TestSendChat:
                 kind="remote", endpoint=server.url, backoff=0.01, max_attempts=2
             )
             with pytest.raises(TransportFailure):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
             assert len(server.requests) == 2
 
     def test_missing_token_fails_before_any_request(self, monkeypatch):
@@ -404,7 +405,7 @@ class TestSendChat:
         with StubChatServer([("content", "x")]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
             with pytest.raises(ConfigError):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
             assert server.requests == []
 
     def test_transport_abort_preserves_partial_log(self, monkeypatch, tmp_path):
@@ -494,7 +495,7 @@ class TestRetryAfter:
         script = [("status", status, {"Retry-After": value}), ("content", "ok")]
         with StubChatServer(script) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.25)
-            assert send_chat(config, "p")[0] == "ok"
+            assert send_chat(config, chat_body(config, "p"))[0] == "ok"
         assert sleeps == [delay]
 
     def test_each_retry_reads_its_own_response(self, offline, sleeps):
@@ -502,7 +503,7 @@ class TestRetryAfter:
                   ("content", "ok")]
         with StubChatServer(script) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.25)
-            assert send_chat(config, "p")[0] == "ok"
+            assert send_chat(config, chat_body(config, "p"))[0] == "ok"
         assert sleeps == [7, 0.5]
 
 
@@ -532,7 +533,7 @@ class TestTransport:
             proxy = server.url.split("/v1/")[0].replace("//", "//user:p%40ss@")
             monkeypatch.setenv("http_proxy", proxy)
             config = SamplerConfig(kind="remote", endpoint=endpoint)
-            assert send_chat(config, "p")[0] == "via proxy"
+            assert send_chat(config, chat_body(config, "p"))[0] == "via proxy"
         assert [r["path"] for r in server.requests] == [endpoint]
         assert server.requests[0]["proxy_auth"] == "Basic dXNlcjpwQHNz"  # user:p@ss
         assert server.requests[0]["auth"] == "Bearer t"
@@ -545,7 +546,7 @@ class TestTransport:
                 kind="remote", endpoint="http://chat.invalid/v1/chat/completions"
             )
             with pytest.raises(TransportFailure, match="transport error"):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
         assert server.requests == []
 
     def test_refused_port_fails_after_max_attempts(self, offline, sleeps):
@@ -556,7 +557,7 @@ class TestTransport:
             kind="remote", endpoint=f"http://127.0.0.1:{port}/v1", max_attempts=3
         )
         with pytest.raises(TransportFailure, match="3 attempts exhausted.*transport error"):
-            send_chat(config, "p")
+            send_chat(config, chat_body(config, "p"))
         assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize(
@@ -565,7 +566,7 @@ class TestTransport:
     def test_endpoint_must_be_an_http_url(self, offline, endpoint):
         config = SamplerConfig(kind="remote", endpoint=endpoint)
         with pytest.raises(ConfigError, match="not an http"):
-            send_chat(config, "p")
+            send_chat(config, chat_body(config, "p"))
         assert offline == []
 
     @pytest.mark.parametrize(
@@ -579,7 +580,7 @@ class TestTransport:
     def test_connects_to_the_endpoint_port(self, offline, sleeps, endpoint, target):
         config = SamplerConfig(kind="remote", endpoint=endpoint, max_attempts=1)
         with pytest.raises(TransportFailure, match="transport error"):
-            send_chat(config, "p")
+            send_chat(config, chat_body(config, "p"))
         assert offline == [target]
 
     def test_https_verifies_the_server(self, offline, monkeypatch, sleeps):
@@ -595,7 +596,7 @@ class TestTransport:
             kind="remote", endpoint="https://chat.invalid/v1", max_attempts=1
         )
         with pytest.raises(TransportFailure, match="transport error"):
-            send_chat(config, "p")
+            send_chat(config, chat_body(config, "p"))
         (context,) = contexts
         assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
 
@@ -607,7 +608,7 @@ class TestTransport:
                 kind="remote", endpoint="https://chat.invalid/v1", max_attempts=1
             )
             with pytest.raises(TransportFailure, match="Tunnel connection failed: 501"):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
         assert server.requests == []
 
     def test_remote_run_loads_no_third_party_http_client(self, tmp_path):

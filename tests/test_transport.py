@@ -15,6 +15,7 @@ from hyposet.harness import (
     API_KEY_ENV,
     RemoteSampler,
     SamplerConfig,
+    chat_body,
     history_line,
     load_log,
     prompt_base,
@@ -26,6 +27,7 @@ from hyposet.tasks import get_task
 from hyposet.transport import ChatConnection
 
 from stubserver import StubChatServer
+from test_golden_prompts import ADVERSARIAL
 
 
 def reply(status_line, *fields, body=b""):
@@ -221,7 +223,7 @@ class TestFraming:
         truncated = reply("HTTP/1.1 200 OK", "Content-Length: 100", body=b'{"choi')
         with RawServer([(truncated, True), (completion("second"), False)]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.25)
-            assert send_chat(config, "p")[0] == "second"
+            assert send_chat(config, chat_body(config, "p"))[0] == "second"
         assert remote == [0.25]  # one attempt spent
         assert [number for number, _ in server.requests] == [1, 2]
 
@@ -230,7 +232,7 @@ class TestRequest:
     def test_one_request_carries_every_field_and_the_body(self, remote):
         with RawServer([(completion("fine"), False)]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
-            assert send_chat(config, "p")[0] == "fine"
+            assert send_chat(config, chat_body(config, "p"))[0] == "fine"
             host = server.url.split("/")[2]
         ((_, request),) = server.requests
         head, _, body = request.partition(b"\r\n\r\n")
@@ -250,7 +252,7 @@ class TestRequest:
         with RawServer([OK]) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
             with pytest.raises(ValueError, match="CR, LF or NUL"):
-                send_chat(config, "p")
+                send_chat(config, chat_body(config, "p"))
         assert server.connections == 0 and server.requests == []
 
     @pytest.mark.parametrize("name, value", [("X-A", "a\0b"), ("X-\nA", "a"), ("X-\0", "a")])
@@ -317,7 +319,9 @@ class TestCompletionBody:
         replies = [(completion("EDGES: none", usage), False)] * 2
         with RawServer(replies) as server:
             config = SamplerConfig(kind="remote", endpoint=server.url)
-            assert send_chat(config, "p") == ("EDGES: none", usage if kept else {})
+            assert send_chat(config, chat_body(config, "p")) == (
+                "EDGES: none", usage if kept else {}
+            )
             sampler = RemoteSampler(config, task, inst)
             try:
                 sampler.next_proposal([])
@@ -407,3 +411,51 @@ class TestPromptBodies:
                 sampler.close()
         assert len(log.records) == 4 and len(server.requests) == 4
         assert rendered == [inst]
+
+    @pytest.mark.parametrize(
+        "name, level, seed", [("causal", "1", 11), ("voxel", "2", 5), ("bool", "basic", 3)]
+    )
+    def test_each_body_is_the_chat_body_of_the_reference_prompt(
+        self, remote, name, level, seed
+    ):
+        task = get_task(name)
+        inst = task.generate(seed=seed, level=level)
+        a, b, c, d = ADVERSARIAL
+        shared, other, fresh = [], [c, b, a], []
+        expected = []
+        script = [("status", 503), ("content", "EDGES: none")]
+        with StubChatServer(script) as server:
+            config = SamplerConfig(
+                kind="remote", endpoint=server.url, model='a "quoted" {{history}} model',
+                temperature=0.25, max_tokens=64, max_attempts=2, backoff=0.0,
+            )
+            sampler = RemoteSampler(config, task, inst)
+
+            def propose(history):
+                expected.append(chat_body(config, _prompt(task, inst, history)))
+                sampler.next_proposal(history)
+
+            try:
+                propose(shared)  # empty; its 503 is retried
+                for text in ADVERSARIAL:
+                    shared.append(text)
+                    propose(shared)  # extends the one before
+                propose(other)  # another list as long, with the same last entry
+                del other[1:]
+                propose(other)  # shorter
+                other.extend([d, a])
+                propose(other)
+                propose((b, d, a))  # not a list
+                propose((b, d, a, c))
+                propose(fresh)
+                fresh.append(d)
+                propose(fresh)
+                fresh[0] = b  # an entry replaced in place: not append-only
+                propose(fresh)
+            finally:
+                sampler.close()
+        sent = [r["raw"] for r in server.requests]
+        assert sent[0] == sent[1]  # the retry resends the same bytes
+        assert sent[1:] == expected
+        empty = prompt_base(task, inst).replace("{{history}}", "(none)")
+        assert sent[0] == chat_body(config, empty)
