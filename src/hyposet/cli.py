@@ -15,7 +15,8 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 from . import causal, harness, metrics
 from .errors import (
@@ -51,16 +52,80 @@ SUMMARY_COLUMNS = [
 
 ENTROPY_COLUMNS = ["instance_id", "t", "H_t", "delta_I_t"]
 
-_SAMPLER_ALIASES = {"random": "random_valid"}
-# what --sampler and a config's "kind" accept
-_SAMPLER_KINDS = sorted([*harness.SAMPLERS, *_SAMPLER_ALIASES])
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# A rule: (exact JSON types accepted, extra condition, description); exact
+# types, so a bool is never a number.
+_STRING = ((str,), None, "a string")
+_STRINGS = ((list,), lambda v: all(type(s) is str for s in v), "a list of strings")
+_AT_LEAST_1 = ((int,), lambda v: v >= 1, "an integer >= 1")
+_OBJECT = ((dict,), None, "an object")
+_INTEGER_OR_NULL = ((int, type(None)), None, "an integer or null")
+_STRING_OR_NULL = ((str, type(None)), None, "a string or null")
+
+
+# One settable value: its section ("suite", "sampler", or the task whose
+# generator takes it), key, flag (None: only a config file sets it), rule,
+# help text, and the commands that have the flag.
+_Option = namedtuple("_Option", "section key flag rule help commands", defaults=["gen run"])
+# Every settable value, one row each. The flags, their merge into the config,
+# the config checks and README's option table all derive from these rows.
+# Flags merge in row order, and a section's checks follow its keys' order. A
+# flag's key is its argparse dest, so no two rows with a flag share a key.
+_OPTIONS = tuple(_Option(*row) for row in (
+    ("suite", "task", "--task", _STRING, "the task"),
+    ("suite", "difficulty", "--difficulty", _STRINGS,
+     "levels, each once; all when empty; comma-separated as a flag"),
+    ("suite", "count", "--count", _AT_LEAST_1, "instances per level"),
+    ("suite", "seed", "--seed", ((int,), None, "an integer"), "seeds every instance and run"),
+    ("suite", "out", "--out", _STRING, "output directory"),
+    ("suite", "deterministic", "--deterministic", ((bool,), None, "true or false"),
+     "no timestamps, so the artifacts are byte-identical"),
+    ("suite", "n_cap", "--n-cap", _AT_LEAST_1, "caps N, the admissible set's size", "run"),
+    ("suite", "n_override", "--n",
+     ((int, type(None)), lambda v: v is None or v >= 1, "an integer >= 1 or null"),
+     "N for every run, uncapped", "run"),
+    ("suite", "sampler", None, _OBJECT, "the sampler section"),
+    ("suite", "generate", None, _OBJECT, "the generator section"),
+    ("suite", "digest", None, _STRING, "written by run; recomputed, never read"),
+    ("sampler", "kind", "--sampler", _STRING, "random is recorded as random_valid", "run"),
+    ("sampler", "seed", None, _INTEGER_OR_NULL, "random_valid; null: derived per instance"),
+    ("sampler", "max_tokens", "--max-tokens", _INTEGER_OR_NULL,
+     "remote: sent unless null", "run"),
+    ("sampler", "max_attempts", "--max-attempts", _AT_LEAST_1,
+     "remote: tries per request, the first included", "run"),
+    ("sampler", "backoff", "--backoff", ((int, float), lambda v: v >= 0, "a number >= 0"),
+     "remote: seconds before the first retry, doubling", "run"),
+    ("sampler", "temperature", "--temperature",
+     ((int, float, type(None)), None, "a number or null"), "remote: sent unless null", "run"),
+    ("sampler", "endpoint", "--endpoint", _STRING_OR_NULL, "remote: an http(s) URL", "run"),
+    ("sampler", "model", "--model", _STRING_OR_NULL, "remote: the model name", "run"),
+    ("sampler", "script", "--script", _STRINGS,
+     "scripted: emissions, cycled; as a flag, a file of them", "run"),
+    ("causal", "nodes", "--nodes", _AT_LEAST_1, "node count; sets one custom level"),
+    ("causal", "interventions", "--interventions", _AT_LEAST_1,
+     "observed interventions; the node count when unset"),
+    ("voxel", "occupied", "--tp", ((int,), lambda v: v >= 0, "an integer >= 0"),
+     "occupied columns; sets one custom level"),
+    ("voxel", "grid", "--grid", _AT_LEAST_1, "grid side"),
+    ("voxel", "height", "--height", _AT_LEAST_1, "height budget"),
+))
+
+_SAMPLER_ALIASES = {"random": "random_valid"}
+# what --sampler and a config's "kind" accept
+_SAMPLER_KINDS = sorted([*harness.SAMPLERS, *_SAMPLER_ALIASES])
+# the flags that take one of a fixed list of values
+_CHOICES = {"task": list(TASKS), "kind": _SAMPLER_KINDS}
+
+
+def _rules(section: str) -> dict:
+    """The rule of each key of ``section``: "suite", "sampler" or a task."""
+    return {option.key: option.rule for option in _OPTIONS if option.section == section}
 
 
 @dataclass
@@ -89,82 +154,65 @@ class SuiteConfig:
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
         """The config in a JSON file; a file that is not one JSON object, or
-        a key or value that breaks ``_SUITE_TYPES``, is a ConfigError. The
+        a key or value that breaks the suite's rules, is a ConfigError. The
         ``digest`` that ``run`` writes into config.json is dropped, because
         it is always recomputed."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("a config file holds one JSON object")
-        _check("", _SUITE_TYPES, data)
+        _check("", _rules("suite"), data)
         data.pop("digest", None)
         return cls(**data)
 
 
+def _given(args, sections) -> dict:
+    """By key, the values given to the flags of ``sections``, via ``_FROM_FLAG``."""
+    return {
+        o.key: _FROM_FLAG.get(o.key, lambda v: v)(getattr(args, o.key))
+        for o in _OPTIONS
+        if o.section in sections and o.flag and getattr(args, o.key, None) is not None
+    }
+
+
 def _config_from_args(args) -> SuiteConfig:
     cfg = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
-    if args.task is not None:
-        cfg.task = args.task
+    cfg = replace(cfg, **_given(args, ("suite",)))
     task = get_task(cfg.task)
-    if getattr(args, "difficulty", None):
-        cfg.difficulty = [d.strip() for d in args.difficulty.split(",") if d.strip()]
     if not cfg.difficulty:
         cfg.difficulty = list(task.levels)
     custom = _CUSTOM_LEVEL.get(cfg.task)
-    for level in cfg.difficulty:
+    for index, level in enumerate(cfg.difficulty):
         if level not in task.levels and not (level == "custom" and custom):
             raise ConfigError(
                 f"unknown difficulty {level!r} for task {cfg.task};"
                 f" expected one of {list(task.levels)}"
             )
-    for name in ("count", "seed", "out", "n_cap"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "n", None) is not None:
-        cfg.n_override = args.n
-    if getattr(args, "deterministic", False):
-        cfg.deterministic = True
-    _check("", _SUITE_TYPES, vars(cfg))  # the values the flags set too
-    # generator overrides; a deciding override replaces the level sweep with
-    # one "custom" level so instance ids stay unique
-    for flag, key in (
-        ("nodes", "nodes"),
-        ("interventions", "interventions"),
-        ("tp", "occupied"),
-        ("grid", "grid"),
-        ("height", "height"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.generate[key] = value
-    _check("generate ", _GENERATE_TYPES[cfg.task], cfg.generate)
-    if custom and custom[0] in cfg.generate:
+        if level in cfg.difficulty[:index]:
+            raise ConfigError(f"difficulty {level!r} is repeated; each level runs once")
+    _check("", _rules("suite"), vars(cfg))  # the values the flags set too
+    # every task's generator flags, so one of another task is named; a deciding
+    # option replaces the level sweep with one "custom" level so ids stay unique
+    cfg.generate.update(_given(args, TASKS))
+    _check("generate ", _rules(cfg.task), cfg.generate)
+    if custom and custom in cfg.generate:
         cfg.difficulty = ["custom"]
     elif custom and "custom" in cfg.difficulty:
+        flag = next(o.flag for o in _OPTIONS if (o.section, o.key) == (cfg.task, custom))
         raise ConfigError(
-            f"difficulty 'custom' for task {cfg.task} needs {custom[1]}"
-            f" (generate config key {custom[0]!r})"
+            f"difficulty 'custom' for task {cfg.task} needs {flag}"
+            f" (generate config key {custom!r})"
         )
     _check_generate_limits(cfg, task)
-    # sampler
-    kind = getattr(args, "sampler", None)
-    if kind is not None:
-        cfg.sampler["kind"] = _SAMPLER_ALIASES.get(kind, kind)
-    for flag in ("endpoint", "model", "temperature", "max_tokens", "max_attempts",
-                 "backoff"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.sampler[flag] = value
-    script_path = getattr(args, "script", None)
-    if script_path is not None:
-        cfg.sampler["script"] = _read_script(script_path)
-    _check("sampler ", _SAMPLER_TYPES, cfg.sampler)
+    cfg.sampler.update(_given(args, ("sampler",)))
+    _check("sampler ", _rules("sampler"), cfg.sampler)
     kind = cfg.sampler.get("kind", "oracle")
     if kind not in _SAMPLER_KINDS:
         raise ConfigError(
             f"unknown sampler kind {kind!r}; expected one of {_SAMPLER_KINDS}"
         )
+    if kind in _SAMPLER_ALIASES:  # one spelling, so one config digest
+        cfg.sampler["kind"] = kind = _SAMPLER_ALIASES[kind]
     if kind == "scripted" and not cfg.sampler.get("script"):
         raise ConfigError("scripted sampler needs at least one emission (--script)")
     return cfg
@@ -192,51 +240,16 @@ def _read_script(path) -> list[str]:
     return [line for line in lines if line.strip()]
 
 
-# Each section's rules: key -> (exact JSON types accepted, extra condition,
-# description); exact types, so a bool is never a number.
-_STRINGS = ((list,), lambda v: all(type(s) is str for s in v), "a list of strings")
-_AT_LEAST_1 = ((int,), lambda v: v >= 1, "an integer >= 1")
-
-_SUITE_TYPES = {
-    "task": ((str,), None, "a string"),
-    "difficulty": _STRINGS,
-    "count": _AT_LEAST_1,
-    "seed": ((int,), None, "an integer"),
-    "out": ((str,), None, "a string"),
-    "deterministic": ((bool,), None, "true or false"),
-    "n_cap": _AT_LEAST_1,
-    "n_override": ((int, type(None)), lambda v: v is None or v >= 1,
-                   "an integer >= 1 or null"),
-    "sampler": ((dict,), None, "an object"),
-    "generate": ((dict,), None, "an object"),
-    "digest": ((str,), None, "a string"),  # written by run, never read
+# a flag's text as its section holds it, where argparse's value is not that
+_FROM_FLAG = {
+    "difficulty": lambda text: [d.strip() for d in text.split(",") if d.strip()],
+    "script": _read_script,
 }
 
-_SAMPLER_TYPES = {
-    "kind": ((str,), None, "a string"),
-    "seed": ((int, type(None)), None, "an integer or null"),
-    "max_tokens": ((int, type(None)), None, "an integer or null"),
-    "max_attempts": _AT_LEAST_1,
-    "backoff": ((int, float), lambda v: v >= 0, "a number >= 0"),
-    "temperature": ((int, float, type(None)), None, "a number or null"),
-    "endpoint": ((str, type(None)), None, "a string or null"),
-    "model": ((str, type(None)), None, "a string or null"),
-    "script": _STRINGS,
-}
+# per task, the generate key that sets a "custom" level
+_CUSTOM_LEVEL = {"causal": "nodes", "voxel": "occupied"}
 
-# per task: the keyword options of its ``generate``
-_GENERATE_TYPES = {
-    "causal": {"nodes": _AT_LEAST_1, "interventions": _AT_LEAST_1},
-    "voxel": {
-        "grid": _AT_LEAST_1,
-        "height": _AT_LEAST_1,
-        "occupied": ((int,), lambda v: v >= 0, "an integer >= 0"),
-    },
-    "bool": {},
-}
 
-# per task, the generate key that sets a "custom" level, and its option
-_CUSTOM_LEVEL = {"causal": ("nodes", "--nodes"), "voxel": ("occupied", "--tp")}
 # per task: (option, its bound from the level's options, the bound as text)
 # rules, checked at each level by ``_check_generate_limits``
 _GENERATE_LIMITS = {
@@ -291,11 +304,10 @@ def _sampler_config(cfg: SuiteConfig) -> SamplerConfig:
     """The sampler section, which ``_config_from_args`` checked, as a
     SamplerConfig. The environment variable holding the auth token is not
     configurable."""
-    data = dict(cfg.sampler)
-    kind = data.pop("kind", "oracle")
+    data = {"kind": "oracle", **cfg.sampler}
     if "script" in data:
         data["script"] = tuple(data["script"])
-    return SamplerConfig(kind=_SAMPLER_ALIASES.get(kind, kind), **data)
+    return SamplerConfig(**data)
 
 
 def _dump_json(path, obj):
@@ -395,7 +407,7 @@ def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     sampler_config = _sampler_config(cfg)
     if sampler_config.kind == "remote":
-        sampler_config.remote_token()  # fail before anything is written
+        sampler_config.remote_headers()  # fail before anything is written
     log_dir = os.path.join(cfg.out, "logs")
     os.makedirs(log_dir, exist_ok=True)
     _dump_json(
@@ -593,46 +605,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyposet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--task", choices=list(TASKS))
-        p.add_argument("--difficulty", help="comma-separated difficulty levels")
-        p.add_argument("--count", type=int, help="instances per level")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--config", help="JSON config file, such as a run's config.json")
-        p.add_argument("--nodes", type=int, help="causal: node count override")
-        p.add_argument(
-            "--interventions", type=int, help="causal: observed interventions"
-        )
-        p.add_argument("--tp", type=int, help="voxel: occupied column count")
-        p.add_argument("--grid", type=int, help="voxel: grid side")
-        p.add_argument("--height", type=int, help="voxel: height budget")
-
     p_gen = sub.add_parser("gen", help="generate instance files")
-    add_common(p_gen)
     p_gen.set_defaults(func=cmd_gen)
+    p_run = sub.add_parser("run", help="execute a sampling suite")
+    p_run.set_defaults(func=cmd_run)
+    commands = {"gen": p_gen, "run": p_run}
+    for p in commands.values():
+        p.add_argument("--config", help="JSON config file, such as a run's config.json")
+    for option in _OPTIONS:
+        types = option.rule[0]
+        if bool in types:  # a switch: given or not, never false
+            kwargs = {"action": "store_true", "default": None}
+        else:
+            parse = float if float in types else int if int in types else str
+            kwargs = {"type": parse, "choices": _CHOICES.get(option.key)}
+        for command in option.commands.split() if option.flag else ():
+            commands[command].add_argument(
+                option.flag, dest=option.key, help=option.help, **kwargs
+            )
 
     p_val = sub.add_parser("validate", help="judge one hypothesis text")
     p_val.add_argument("instance", help="instance JSON file")
-    p_val.add_argument(
-        "hypothesis", help="hypothesis text, @file, or - for stdin"
-    )
+    p_val.add_argument("hypothesis", help="hypothesis text, @file, or - for stdin")
     p_val.set_defaults(func=cmd_validate)
-
-    p_run = sub.add_parser("run", help="execute a sampling suite")
-    add_common(p_run)
-    p_run.add_argument("--sampler", choices=_SAMPLER_KINDS)
-    p_run.add_argument("--script", help="scripted sampler emission file")
-    p_run.add_argument("--endpoint", help="remote chat completions URL")
-    p_run.add_argument("--model", help="remote model name")
-    p_run.add_argument("--temperature", type=float)
-    p_run.add_argument("--max-tokens", dest="max_tokens", type=int)
-    p_run.add_argument("--max-attempts", dest="max_attempts", type=int)
-    p_run.add_argument("--backoff", type=float)
-    p_run.add_argument("--n-cap", dest="n_cap", type=int)
-    p_run.add_argument("--n", type=int, help="override N for every run")
-    p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="aggregate run logs")
     p_rep.add_argument("logs", help="directory of .jsonl run logs")

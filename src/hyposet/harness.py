@@ -109,10 +109,10 @@ class SamplerConfig:
     def label(self) -> str:
         return f"{self.kind}:{self.digest()}"
 
-    def remote_token(self) -> str:
-        """The auth token for remote sampling, read from the environment; a
-        missing token, or an endpoint that is not an http(s) URL, raises
-        ConfigError."""
+    def remote_headers(self) -> dict[str, str]:
+        """The auth and content-type fields of each remote request, with the
+        token read from the environment; a missing token, or an endpoint that
+        is not an http(s) URL, raises ConfigError."""
         token = os.environ.get(API_KEY_ENV)
         if not token:
             raise ConfigError(f"remote sampling needs an auth token in ${API_KEY_ENV}")
@@ -121,7 +121,7 @@ class SamplerConfig:
         url = urllib.parse.urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"remote endpoint {self.endpoint!r} is not an http(s) URL")
-        return token
+        return {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
 
 
 def _retry_after(headers: dict) -> int | None:
@@ -146,7 +146,8 @@ def chat_body(config: SamplerConfig, prompt: str) -> bytes:
 
 
 def send_chat(
-    config: SamplerConfig, body: bytes, connection: ChatConnection | None = None
+    config: SamplerConfig, body: bytes, connection: ChatConnection | None = None,
+    headers: dict[str, str] | None = None,
 ) -> tuple[str, dict]:
     """One chat-completions request of a ``chat_body``; returns (content, usage).
 
@@ -159,15 +160,15 @@ def send_chat(
     response's ``Retry-After`` names (capped at RETRY_AFTER_CAP_S). Any other
     non-2xx status, a 3xx or 4xx that a retry cannot fix, raises
     TransportFailure at once. Requests go over ``connection``, kept alive
-    across calls, or over a connection opened for this call alone.
+    across calls, or over a connection opened for this call alone, and carry
+    ``headers``, ``config.remote_headers()`` when not given.
     """
     from . import transport  # only remote sampling loads the HTTP client
 
     if connection is None:
         with contextlib.closing(transport.ChatConnection(config.endpoint)) as own:
-            return send_chat(config, body, own)
-    token = config.remote_token()
-    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
+            return send_chat(config, body, own, headers)
+    headers = headers or config.remote_headers()
     last_error = "no attempt made"
     delay = None
     for attempt in range(config.max_attempts):
@@ -271,6 +272,7 @@ class RemoteSampler:
         # the prompt's markers are the body's last: only numbers follow the prompt
         self._parts = body.rsplit(_json_text(HISTORY_MARKER), markers)
         self._connection = ChatConnection(config.endpoint)
+        self._headers = None  # read at the first request, then kept for the run
         self._lines: list[bytes] = []  # the escaped lines of the last history
         self._history = None  # that history
         self._last = None  # and its last entry
@@ -293,7 +295,9 @@ class RemoteSampler:
     def next_proposal(self, history) -> str:
         text = self._SEPARATOR.join(self._history_lines(history)) or self._EMPTY
         body = text.join(self._parts)
-        content, usage = send_chat(self._config, body, connection=self._connection)
+        if self._headers is None:
+            self._headers = self._config.remote_headers()
+        content, usage = send_chat(self._config, body, self._connection, self._headers)
         self.total_tokens += usage.get("total_tokens", 0)
         return content
 

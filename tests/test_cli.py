@@ -307,20 +307,20 @@ class TestRun:
     def test_every_sampler_field_has_a_type_rule(self):
         from dataclasses import fields
 
-        from hyposet.cli import _SAMPLER_TYPES
+        from hyposet.cli import _rules
 
-        assert set(_SAMPLER_TYPES) == {f.name for f in fields(harness.SamplerConfig)}
+        assert set(_rules("sampler")) == {f.name for f in fields(harness.SamplerConfig)}
 
     @pytest.mark.parametrize("task", ["causal", "voxel", "bool"])
     def test_every_generator_option_has_a_type_rule(self, task):
         import inspect
 
-        from hyposet.cli import _GENERATE_TYPES
+        from hyposet.cli import _rules
         from hyposet.tasks import get_task
 
         parameters = inspect.signature(get_task(task).generate).parameters.values()
         options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
-        assert set(_GENERATE_TYPES[task]) == options
+        assert set(_rules(task)) == options
 
     def test_token_variable_is_not_a_sampler_key(self, tmp_path, capsys):
         config = {"task": "causal", "difficulty": ["1"], "count": 1,
@@ -531,6 +531,40 @@ class TestRun:
                           for p in sorted(Path("o").rglob("*")) if p.is_file()})
         assert trees[0] == trees[1] and len(trees[0]) == 5
 
+    def test_random_alias_is_one_config_from_a_flag_or_a_file(self, tmp_path, monkeypatch):
+        suite = {"task": "causal", "difficulty": ["1"], "count": 2, "deterministic": True}
+        flags = ["--task", "causal", "--difficulty", "1", "--count", "2", "--deterministic"]
+        written = []
+        for source in ("flag", "file"):
+            (tmp_path / source).mkdir()
+            monkeypatch.chdir(tmp_path / source)  # the same relative --out
+            if source == "flag":
+                argv = [*flags, "--sampler", "random"]
+            else:
+                Path("c.json").write_text(json.dumps({**suite, "sampler": {"kind": "random"}}))
+                argv = ["--config", "c.json"]
+            assert run_cli("run", *argv, "--out", "o") == 0
+            logs = sorted(p.name for p in Path("o/logs").iterdir())
+            written.append((Path("o/config.json").read_bytes(), logs))
+        assert written[0] == written[1] and len(written[0][1]) == 2
+        assert json.loads(written[0][0])["sampler"] == {"kind": "random_valid"}
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_a_repeated_level_writes_nothing(self, tmp_path, capsys, from_file):
+        out = tmp_path / "o"
+        if from_file:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"task": "voxel", "difficulty": ["1", "2", "1"]}))
+            flags = ["--config", str(path)]
+        else:
+            flags = ["--task", "voxel", "--difficulty", "1,2,1"]
+        for command in ("gen", "run"):
+            assert run_cli(command, *flags, "--count", "1", "--out", str(out)) == 3
+            assert capsys.readouterr().err == (
+                "error: difficulty '1' is repeated; each level runs once\n"
+            )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, expected",
         [
@@ -638,6 +672,65 @@ class TestRun:
         assert run_cli("run", "--config", str(path), "--out", str(out)) == 3
         assert "a config file holds one JSON object" in capsys.readouterr().err
         assert not out.exists()
+
+
+def render_option_table() -> list[str]:
+    """README's option table: one row per row of ``cli._OPTIONS``."""
+    from hyposet.cli import _OPTIONS
+
+    lines = ["| Section | Key | Flag | Value | Meaning |", "|---|---|---|---|---|"]
+    for option in _OPTIONS:
+        section = {"suite": "top level", "sampler": "`sampler`"}.get(
+            option.section, f"`generate` ({option.section})"
+        )
+        flag = "—" if option.flag is None else f"`{option.flag}`"
+        if option.flag and "gen" not in option.commands.split():
+            flag += " (run)"
+        lines.append(
+            f"| {section} | `{option.key}` | {flag} | {option.rule[2]} | {option.help} |"
+        )
+    return lines
+
+
+class TestOptionTable:
+    def test_suite_rows_are_the_config_fields(self):
+        from dataclasses import fields
+
+        from hyposet.cli import _rules
+
+        assert set(_rules("suite")) == {f.name for f in fields(SuiteConfig)} | {"digest"}
+
+    @pytest.mark.parametrize("command, count", [("gen", 12), ("run", 22)])
+    def test_flags_are_the_tables(self, command, count):
+        import argparse
+
+        from hyposet.cli import _OPTIONS, build_parser
+
+        (commands,) = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {flag for action in commands[command]._actions
+                 for flag in action.option_strings}
+        table = {o.flag for o in _OPTIONS if o.flag and command in o.commands.split()}
+        assert flags == table | {"--config", "-h", "--help"}
+        assert len(flags - {"-h", "--help"}) == count
+        keys = [o.key for o in _OPTIONS if o.flag]  # each flag's argparse dest
+        assert len(keys) == len(set(keys))
+
+    def test_readme_holds_the_rendered_table(self):
+        expected = render_option_table()
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        lines = readme.splitlines()
+        table = []
+        if expected[0] in lines:
+            start = lines.index(expected[0])
+            end = next((i for i in range(start, len(lines)) if not lines[i].startswith("|")),
+                       len(lines))
+            table = lines[start:end]
+        assert table == expected, "README's option table should read:\n" + "\n".join(
+            expected
+        )
 
 
 class TestReport:

@@ -448,6 +448,31 @@ class TestSendChat:
         assert len(server.requests) == 4  # three proposals and one retry
         assert len({r["client"] for r in server.requests}) == 1
 
+    def test_remote_run_reads_the_token_once(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "t")
+        reads = []
+        remote_headers = SamplerConfig.remote_headers
+
+        def counted(config):
+            reads.append(config)
+            return remote_headers(config)
+
+        monkeypatch.setattr(SamplerConfig, "remote_headers", counted)
+        task = get_task("causal")
+        inst = task.generate(seed=11, level="1")
+        texts = list(task.admissible_texts(inst))[:3]
+        script = [("content", texts[0]), ("status", 503)] + [
+            ("content", t) for t in texts[1:]
+        ]
+        with StubChatServer(script) as server:
+            config = SamplerConfig(kind="remote", endpoint=server.url, backoff=0.0)
+            sampler = RemoteSampler(config, task, inst)
+            log = run_instance(task, inst, sampler, config, n_override=3)
+            sampler.close()
+        assert log.complete and len(server.requests) == 4
+        assert {r["auth"] for r in server.requests} == {"Bearer t"}
+        assert reads == [config]
+
 
 @pytest.fixture
 def sleeps(monkeypatch):
