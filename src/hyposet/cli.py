@@ -15,18 +15,12 @@ import inspect
 import json
 import os
 import sys
+import urllib.parse
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 from . import causal, harness, metrics
-from .errors import (
-    ConfigError,
-    ConstraintViolation,
-    EnumerationLimit,
-    LogFormatError,
-    ParseFailure,
-    TransportFailure,
-)
+from .errors import ConfigError, EnumerationLimit, LogFormatError, TransportFailure
 from .harness import DEFAULT_N_CAP, SamplerConfig, load_log, run_suite, suite_instances
 from .tasks import TASKS, difficulty_order, get_task, load_instance
 
@@ -463,10 +457,11 @@ def _recount(log) -> tuple[list[str], str | None]:
     """The comparison key of each proposal line, and why the summary line
     disagrees with those lines (None when it agrees).
 
-    Nothing is judged: the lines are replayed through the run's scorer, each
-    with its category as written, against the summary's |H_O|, and every
-    scored field but the token count follows. The reason names the first
-    field of ``_RECOUNTED`` that differs."""
+    Nothing is judged: each line goes through the run's scorer with the
+    evaluation its category states, against the summary's |H_O|. The reason
+    is the first line whose category the lines before it do not give, or
+    else the first field of ``_RECOUNTED`` that differs; every scored field
+    but the token count is recounted."""
     summary = log["summary"]
     size = summary.get("h_o_size")
     if not log["proposals"]:
@@ -474,12 +469,19 @@ def _recount(log) -> tuple[list[str], str | None]:
     if type(size) is not int or size < 1:
         return [], f"summary h_o_size is {json.dumps(size)}, not an integer >= 1"
     scorer = metrics.RunScorer(size)
+    keys = []
     try:
-        keys = [
-            scorer.observe_line(line["raw"], line["canonical"], line["category"])
-            for line in log["proposals"]
-        ]
-        closed = harness._close(scorer)
+        for number, line in enumerate(log["proposals"], start=1):
+            category = line["category"]
+            evaluation = metrics.stated_evaluation(line["canonical"], category)
+            record = scorer.add(number, line["raw"], evaluation)
+            if record.category != category:
+                return [], (
+                    f"proposal {number} is recorded {category},"
+                    f" but the lines before it make it {record.category}"
+                )
+            keys.append(metrics.record_key(record))
+        closed = metrics.score_run(scorer)
     except ValueError as err:
         return [], str(err)
     expected = {**vars(closed), "n": scorer.n, "rr_at_k": list(closed.rr_at_k)}
@@ -591,9 +593,13 @@ def cmd_report(args) -> int:
         [(*cell, f"{mean:.6f}", f"{1 - mean:.6f}") for cell, mean in means.items()],
     )
     for sampler in samplers:
-        suffix = sampler.replace(":", "-")
+        # %-escaped and cut short with a digest, so that each label names a
+        # file of its own inside out_dir; a plain label only has ':' as '-'
+        name = urllib.parse.quote(sampler.replace(":", "-"), safe="", errors="surrogatepass")
+        if len(name) > 200:
+            name = f"{name[:187]}-{hashlib.sha256(name.encode()).hexdigest()[:12]}"
         _write_csv(
-            os.path.join(out_dir, f"entropy_series_{suffix}.csv"),
+            os.path.join(out_dir, f"entropy_series_{name}.csv"),
             ENTROPY_COLUMNS,
             entropy_by_sampler[sampler],
         )
@@ -645,9 +651,6 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else 1
     try:
         return args.func(args)
-    except (ParseFailure, ConstraintViolation) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (
         ConfigError,
         TransportFailure,

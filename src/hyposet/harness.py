@@ -357,14 +357,6 @@ def _judge(task, instance, scorer, index, raw) -> metrics.ProposalRecord:
     return metrics.make_record(index, raw, evaluation, scorer)
 
 
-def _close(scorer, **extra) -> metrics.MetricsSummary:
-    """The run's summary with its creativity measures and ``extra`` fields."""
-    c_count, c_entropy = metrics.creativity_measures(scorer)
-    return replace(
-        metrics.score_run(scorer), c_count=c_count, c_entropy_bits=c_entropy, **extra
-    )
-
-
 def run_instance(
     task,
     instance,
@@ -446,7 +438,7 @@ def run_instance(
 
         summary = None
         if complete:
-            summary = _close(scorer, token_count=token_count)
+            summary = replace(metrics.score_run(scorer), token_count=token_count)
             if writer:
                 line = {
                     "type": "summary",
@@ -579,8 +571,9 @@ def load_log(path) -> dict:
 
     A line that is not a JSON object with a ``type`` (a log cut off
     mid-line, say), a header or proposal line without a field of
-    ``_LINE_FIELDS``, a header naming an unknown task, or a missing run
-    header raises LogFormatError naming the line and the field or task.
+    ``_LINE_FIELDS``, a header naming an unknown task or holding a
+    ``config_digest`` that is not a string, or a missing run header raises
+    LogFormatError naming the line and the field or task.
     """
     header = None
     proposals = []
@@ -609,6 +602,10 @@ def load_log(path) -> dict:
                 if obj["task"] not in TASKS:
                     raise LogFormatError(
                         path, f"line {lineno} names an unknown task {obj['task']!r}"
+                    )
+                if type(obj.get("config_digest", "")) is not str:
+                    raise LogFormatError(
+                        path, f"line {lineno} has a 'config_digest' that is not a string"
                     )
                 header = obj
             elif kind == "proposal":
@@ -646,4 +643,4 @@ def rescore_log(path) -> tuple[dict, metrics.MetricsSummary]:
     scorer = metrics.RunScorer(task.admissible_count(instance))
     for index, prop in enumerate(log["proposals"], start=1):
         _judge(task, instance, scorer, index, prop["raw"])
-    return log["summary"], _close(scorer)
+    return log["summary"], metrics.score_run(scorer)

@@ -15,10 +15,10 @@ earlier valid proposal has its canonical form; any other proposal is novel
 iff no earlier proposal shares its comparison key. So an out-of-space or
 invalid emission never uses up the novelty of a valid hypothesis, RR equals
 coverage (the fraction of H hit by distinct valid canonical forms) in every
-run, and RR <= NR. Each proposal lands in exactly one failure category,
-resolved in this precedence order: parse_failure, constraint_violation,
-invalid, duplicate_exact (valid, not novel, raw text seen before),
-duplicate_canonical, valid_novel.
+run, and RR <= NR whenever N <= |H|. Each proposal lands in exactly one
+failure category, resolved in this precedence order: parse_failure,
+constraint_violation, invalid, duplicate_exact (valid, not novel, raw text
+seen before), duplicate_canonical, valid_novel.
 
 Every task's validator keeps one contract: a valid proposal's canonical
 form lies in H (causal: an acyclic graph that matches every observation;
@@ -27,9 +27,12 @@ agrees with the data). So scoring needs only |H|: the valid_novel records
 are the distinct valid canonical forms, and no form is looked up in H.
 ``tests/test_contract.py`` checks the contract against the enumerators.
 
-RunScorer holds a run's running state: classifying a proposal costs O(1)
-whatever came before, and closing the run needs no second pass over the
-records. The module-level functions are thin uses of it.
+A run's proposals enter its RunScorer by ``add`` alone, in O(1) each, and
+``summary`` closes the run with no second pass. A run adds the judge's
+evaluations; a stored record or log line goes through ``add`` with the one
+its category states (``stated_evaluation``), and a derived category that
+differs makes ``RunScorer.replay`` raise and ``report`` skip the log. The
+module-level functions are thin uses of RunScorer.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class ProposalRecord:
             raise ValueError("valid_novel must coincide with valid=1 and novel=1")
         if self.category == "parse_failure" and self.parsed is not None:
             raise ValueError("parse failures carry no parsed form")
+        if self.valid and self.parsed is None:
+            raise ValueError("valid records carry a parsed form")
 
 
 def record_key(record: ProposalRecord) -> str:
@@ -99,14 +104,14 @@ class MetricsSummary:
     rr_at_k: tuple[float, ...]
     failure_counts: dict[str, int]
     coverage: float
-    c_count: int | None = None
-    c_entropy_bits: float | None = None
+    c_count: int
+    c_entropy_bits: float
     token_count: int | None = None
 
 
 class RunScorer:
-    """Running state of one run: classifies each proposal in O(1) and
-    summarises the run from its counters, with no pass over the records.
+    """Running state of one run: ``add`` classifies each proposal in O(1),
+    and ``summary`` closes the run from the counters.
 
     ``admissible_size`` is |H|; the recovered forms are the valid_novel
     records, which the validators' contract puts in H. With size 0 the
@@ -115,46 +120,53 @@ class RunScorer:
 
     def __init__(self, admissible_size: int = 0):
         self.admissible_size = admissible_size
-        self._valid_keys: set[str] = set()  # comparison keys of valid proposals
-        self._other_keys: set[str] = set()  # and of all other proposals
-        # each raw text seen, with its evaluation (None when replayed)
-        self._raw: dict[str, TextEvaluation | None] = {}
+        self._other_keys: set[str] = set()  # comparison keys of proposals not valid
+        # each raw text seen, with the evaluation it was first added with
+        self._raw: dict[str, TextEvaluation] = {}
         self._counts = dict.fromkeys(CATEGORIES, 0)
         self._valid = 0
         self._novel = 0
         self._curve: list[float] = []
-        self._valid_forms: Counter[str] = Counter()
+        self._valid_forms: Counter[str] = Counter()  # by canonical form
         self.n = 0
 
     @classmethod
     def replay(cls, records, admissible_size: int = 0) -> "RunScorer":
-        """A scorer that has observed ``records`` in order."""
+        """A scorer that has added ``records`` in order, each with its
+        ``stated_evaluation``; a record other than the one the records
+        before it give raises ValueError."""
         scorer = cls(admissible_size)
         for record in records:
-            scorer.observe(record)
+            evaluation = stated_evaluation(record.parsed, record.category)
+            derived = scorer.add(record.index, record.raw_text, evaluation)
+            if derived != record:
+                raise ValueError(f"{record} breaks the novelty rule; the"
+                                 f" records before it give {derived}")
         return scorer
 
     def evaluation_of(self, raw_text: str) -> TextEvaluation | None:
         """The evaluation an earlier proposal with this exact raw text was
-        classified with, or None; evaluations are pure functions of the
-        text, so a run judges each distinct text once."""
+        added with, or None; evaluations are pure functions of the text, so
+        a run judges each distinct text once."""
         return self._raw.get(raw_text)
 
     def is_novel(self, comparison_key: str, valid: bool = False) -> int:
         """1 iff no earlier valid proposal shares the comparison key and, for
         a proposal that is not valid, no other earlier proposal does."""
         return int(
-            comparison_key not in self._valid_keys
+            comparison_key not in self._valid_forms
             and (valid or comparison_key not in self._other_keys)
         )
 
-    def classify(
+    def add(
         self, index: int, raw_text: str, evaluation: TextEvaluation
     ) -> ProposalRecord:
-        """The record of the next proposal; the state does not change."""
+        """Classify the next proposal by its evaluation and the proposals
+        before it, fold it into the running state, and return its record."""
         parsed = None if evaluation.parse_error is not None else evaluation.canonical
+        key = parsed if parsed is not None else raw_text
         valid = int(evaluation.valid)
-        novel = self.is_novel(parsed if parsed is not None else raw_text, valid)
+        novel = self.is_novel(key, valid)
         if evaluation.parse_error is not None:
             category = "parse_failure"
         elif evaluation.constraint_error is not None:
@@ -168,51 +180,24 @@ class RunScorer:
                 category = "duplicate_canonical"
         else:
             category = "valid_novel"
-        return ProposalRecord(
-            index=index,
-            raw_text=raw_text,
-            parsed=parsed,
-            category=category,
-            valid=valid,
-            novel=novel,
-        )
-
-    def observe(
-        self, record: ProposalRecord, evaluation: TextEvaluation | None = None
-    ) -> None:
-        """Fold one classified proposal, and the evaluation it was
-        classified with when known, into the running state."""
-        self._fold(
-            record.raw_text, record.parsed, record.category, record.valid,
-            record.novel, evaluation,
-        )
-
-    def observe_line(self, raw_text: str, parsed: str | None, category: str) -> str:
-        """Fold one stored proposal line and return its comparison key. Its
-        category is taken as written and its novelty decided by
-        ``is_novel``; an unknown category raises ValueError."""
-        if category not in self._counts:
-            raise ValueError(f"proposal category {category!r} is unknown")
-        key = parsed if parsed is not None else raw_text
-        valid = int(category in _VALID_CATEGORIES)
-        self._fold(raw_text, parsed, category, valid, self.is_novel(key, valid))
-        return key
-
-    def _fold(self, raw_text, parsed, category, valid, novel, evaluation=None):
-        key = parsed if parsed is not None else raw_text
-        (self._valid_keys if valid else self._other_keys).add(key)
+        # built before the state changes: a malformed record raises here
+        record = ProposalRecord(index, raw_text, parsed, category, valid, novel)
+        if valid:
+            self._valid_forms[key] += 1
+        else:
+            self._other_keys.add(key)
         self._raw.setdefault(raw_text, evaluation)
         self._counts[category] += 1
         self._valid += valid
         self._novel += novel
         self.n += 1
-        if valid and parsed is not None:
-            self._valid_forms[parsed] += 1
         if self.admissible_size:
             self._curve.append(self._counts["valid_novel"] / self.admissible_size)
+        return record
 
     def summary(self) -> MetricsSummary:
-        """VR/NR/RR plus the RR@k curve, coverage, and per-category counts.
+        """VR/NR/RR plus the RR@k curve, coverage, per-category counts and
+        the creativity measures.
 
         More distinct valid forms than |H| means a validator broke the
         contract, and raises ValueError rather than report RR > 1."""
@@ -227,6 +212,7 @@ class RunScorer:
                 f" set of {self.admissible_size}"
             )
         coverage = recovered / self.admissible_size
+        c_count, c_entropy_bits = self.creativity()
         return MetricsSummary(
             vr=self._valid / self.n,
             nr=self._novel / self.n,
@@ -234,12 +220,28 @@ class RunScorer:
             rr_at_k=tuple(self._curve),
             failure_counts=dict(self._counts),
             coverage=coverage,
+            c_count=c_count,
+            c_entropy_bits=c_entropy_bits,
         )
 
     def creativity(self) -> tuple[int, float]:
         """(count of distinct valid canonical forms, entropy in bits of
         their empirical distribution)."""
         return len(self._valid_forms), _entropy_bits(self._valid_forms.values())
+
+
+def stated_evaluation(canonical: str | None, category: str) -> TextEvaluation:
+    """The evaluation that ``category`` states for a proposal whose
+    canonical form is ``canonical``: how a stored record or log line, which
+    keeps no judge's message, goes back through ``RunScorer.add``. An
+    unknown category raises ValueError."""
+    if category == "parse_failure":
+        return TextEvaluation(canonical, parse_error=category)
+    if category == "constraint_violation":
+        return TextEvaluation(canonical, constraint_error=category)
+    if category not in CATEGORIES:
+        raise ValueError(f"proposal category {category!r} is unknown")
+    return TextEvaluation(canonical, valid=category in _VALID_CATEGORIES)
 
 
 def _as_scorer(run, admissible_set=()) -> RunScorer:
@@ -256,19 +258,15 @@ def make_record(
 ) -> ProposalRecord:
     """Classify one emission given everything emitted before it.
 
-    ``earlier`` is the run's RunScorer, which then also observes the new
+    ``earlier`` is the run's RunScorer, which then also holds the new
     record, or a sequence of the earlier records, which is left unchanged.
     """
-    if not isinstance(earlier, RunScorer):
-        return RunScorer.replay(earlier).classify(index, raw_text, evaluation)
-    record = earlier.classify(index, raw_text, evaluation)
-    earlier.observe(record, evaluation)
-    return record
+    return _as_scorer(earlier).add(index, raw_text, evaluation)
 
 
 def score_run(records, admissible_set=()) -> MetricsSummary:
     """VR/NR/RR plus the RR@k curve (entry k is RR over the first k records),
-    coverage, and per-category counts.
+    coverage, per-category counts and the creativity measures.
 
     ``records`` is a RunScorer, which carries |H|, or a sequence of records
     scored against ``len(admissible_set)``.

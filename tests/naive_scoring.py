@@ -67,6 +67,7 @@ def naive_summary(records, admissible):
         if r.valid and r.parsed is not None and r.parsed in admissible
     }
     counts = Counter(r.category for r in records)
+    c_count, c_entropy_bits = naive_creativity(records)
     return MetricsSummary(
         vr=sum(r.valid for r in records) / n,
         nr=sum(r.novel for r in records) / n,
@@ -74,6 +75,8 @@ def naive_summary(records, admissible):
         rr_at_k=tuple(curve),
         failure_counts={c: counts.get(c, 0) for c in CATEGORIES},
         coverage=len(hit) / h,
+        c_count=c_count,
+        c_entropy_bits=c_entropy_bits,
     )
 
 

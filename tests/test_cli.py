@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from hyposet import harness
-from hyposet.cli import SUMMARY_COLUMNS, SuiteConfig, main
+from hyposet.cli import ENTROPY_COLUMNS, SUMMARY_COLUMNS, SuiteConfig, main
 from hyposet.errors import LogFormatError
 from hyposet.harness import API_KEY_ENV, derive_seed
+from hyposet.tasks import get_task
 
 
 def read_csv(path):
@@ -121,6 +122,21 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("validate", str(bad), "EDGES: none") == 3
+
+    @pytest.mark.parametrize(
+        "latent, message",
+        [("A>B;B>A", "edge set contains a cycle"),
+         ("A>Z", "label outside the 3-node instance: A>Z")],
+    )
+    def test_instance_whose_latent_is_malformed(
+        self, instance_file, tmp_path, capsys, latent, message
+    ):
+        # a bad instance file is a runtime error, not a "not valid" verdict
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(instance_file.read_text()), "latent": latent}))
+        capsys.readouterr()
+        assert run_cli("validate", str(bad), "EDGES: none") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "content, message",
@@ -733,6 +749,18 @@ class TestOptionTable:
         )
 
 
+class TestReadme:
+    def test_readme_lists_the_output_columns(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        text = " ".join(readme.split())
+        for intro, columns in (
+            ("`summary.csv` columns: `", SUMMARY_COLUMNS),
+            ("The entropy series CSV has `", ENTROPY_COLUMNS),
+        ):
+            assert intro in text
+            assert text.split(intro, 1)[1].split("`", 1)[0].split(", ") == columns
+
+
 class TestReport:
     def test_report_shape(self, tmp_path):
         out = tmp_path / "o"
@@ -855,10 +883,13 @@ class TestReport:
             ({"failure_counts": {"valid_novel": 6}}, "failure_counts"),
             ({"h_o_size": 99}, "rr"),
             ("drop the last proposal line", "n"),
-            ("recategorise a duplicate", "failure_counts"),
-            # an earlier valid line holds its key, so it is not novel: NR
-            # stands and RR, which counts valid_novel lines, does not
-            ("mark a duplicate valid_novel", "rr"),
+            ("recategorise a duplicate",
+             "proposal {n} is recorded duplicate_canonical,"
+             " but the lines before it make it duplicate_exact"),
+            # an earlier valid line holds its key, so it is not novel
+            ("mark a duplicate valid_novel",
+             "proposal {n} is recorded valid_novel,"
+             " but the lines before it make it duplicate_exact"),
             ({"rr_at_k": [1.0]}, "rr_at_k"),
             ({"c_count": 99}, "c_count"),
             ({"c_entropy_bits": 0.5}, "c_entropy_bits"),
@@ -866,6 +897,7 @@ class TestReport:
             ({"h_o_size": 0}, "summary h_o_size is 0, not an integer >= 1"),
             ("drop every proposal line", "no proposal lines"),
             ("unknown category", "proposal category 'bogus' is unknown"),
+            ("drop a valid line's canonical form", "valid records carry a parsed form"),
         ],
     )
     def test_summary_its_proposal_lines_contradict_is_skipped(
@@ -896,6 +928,9 @@ class TestReport:
             lines[-2]["category"] = "duplicate_canonical"
         elif edit == "unknown category":
             lines[-2]["category"] = "bogus"
+        elif edit == "drop a valid line's canonical form":
+            assert lines[1]["category"] == "valid_novel"
+            lines[1]["canonical"] = None
         elif edit == "mark a duplicate valid_novel":
             lines[-2]["category"] = "valid_novel"
             counts = lines[-1]["failure_counts"] = dict(summary["failure_counts"])
@@ -920,7 +955,7 @@ class TestReport:
                 f" but its proposal lines give {json.dumps(given, sort_keys=True)}"
             )
         else:
-            reason = field
+            reason = field.format(n=summary["n"])
         capsys.readouterr()
         assert run_cli("report", str(out / "logs"), "--out", str(out / "report")) == 0
         assert capsys.readouterr().err == f"warning: skipping {logs[0]}: {reason}\n"
@@ -942,7 +977,8 @@ class TestReport:
             (2, "category", "line 3 has no 'category' string"),
             (2, "raw", "line 3 has no 'raw' string"),
             (2, "canonical", "line 3 has no 'canonical' string or null"),
-            (0, "task=bogus", "line 1 names an unknown task 'bogus'"),
+            (0, 'task="bogus"', "line 1 names an unknown task 'bogus'"),
+            (0, "config_digest=5", "line 1 has a 'config_digest' that is not a string"),
         ],
     )
     def test_log_lacking_a_field_is_skipped(self, tmp_path, capsys, line, field, reason):
@@ -962,8 +998,8 @@ class TestReport:
         owner, _, name = field.rpartition(".")
         name, _, value = name.partition("=")
         target = lines[line][owner] if owner else lines[line]
-        if value:  # "name=value" sets the field instead of deleting it
-            target[name] = value
+        if value:  # "name=value" sets the field to a JSON value instead of deleting it
+            target[name] = json.loads(value)
         else:
             del target[name]
         logs[0].write_text("".join(json.dumps(obj) + "\n" for obj in lines))
@@ -1006,6 +1042,53 @@ class TestReport:
         capsys.readouterr()
         assert run_cli("report", str(out / "logs"), "--out", str(out / "r")) == 0
         assert capsys.readouterr().err == ""
+
+    def test_lines_in_an_order_the_rule_does_not_give_are_skipped(self, tmp_path, capsys):
+        # Swapping the two duplicates' categories keeps every count of the
+        # summary line, so only the line-by-line rule can tell.
+        out = tmp_path / "o"
+        flags = ["--task", "causal", "--nodes", "3", "--count", "1", "--seed", "2",
+                 "--out", str(out), "--deterministic"]
+        assert run_cli("gen", *flags) == 0
+        (path,) = (out / "instances").glob("*.json")
+        canon = max(json.loads(path.read_text())["admissible"], key=len)
+        text = "EDGES: " + ", ".join(canon.split(";"))
+        script = tmp_path / "script.txt"
+        script.write_text("\n".join([text, text, text.replace(" ", "  "), "no edges"]))
+        assert run_cli("run", *flags, "--sampler", "scripted", "--script",
+                       str(script), "--n", "4") == 0
+        (log,) = (out / "logs").iterdir()
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [line["category"] for line in lines[1:-1]] == [
+            "valid_novel", "duplicate_exact", "duplicate_canonical", "parse_failure",
+        ]
+        lines[2]["category"], lines[3]["category"] = "duplicate_canonical", "duplicate_exact"
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert run_cli("report", str(out / "logs"), "--out", str(out / "r")) == 3
+        assert capsys.readouterr().err == (
+            f"warning: skipping {log}: proposal 2 is recorded duplicate_canonical,"
+            " but the lines before it make it duplicate_exact\n"
+            "error: no complete run logs found\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["hf/llama", "../../up", "k" * 300])
+    def test_any_sampler_kind_writes_inside_the_report_directory(self, tmp_path, kind):
+        task = get_task("causal")
+        instance = task.generate(3, level="1")
+        sampler = harness.make_sampler(harness.SamplerConfig("oracle"), task, instance)
+        config = harness.SamplerConfig(kind)
+        (tmp_path / "logs").mkdir()
+        harness.run_instance(task, instance, sampler, config, deterministic=True,
+                             log_path=tmp_path / "logs" / "run.jsonl")
+        report = tmp_path / "deep" / "report"
+        assert run_cli("report", str(tmp_path / "logs"), "--out", str(report)) == 0
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        entropy = [p for p in written if p.name.startswith("entropy_series_")]
+        assert len(entropy) == 1 and entropy[0].parent == report.relative_to(tmp_path)
+        assert len(written) == 5  # the log and the report's four files
+        if kind == "hf/llama":
+            assert entropy[0].name == f"entropy_series_hf%2Fllama-{config.digest()}.csv"
 
 class TestExitCodes:
     def test_no_command_usage_error(self):

@@ -3,6 +3,7 @@ novelty rule, the incremental entropy series, the once-per-text judging of a
 run, and the voxel admissible walk, string judge and emitter against the
 tensor functions."""
 
+import dataclasses
 import itertools
 import random
 
@@ -89,17 +90,21 @@ class TestEquivalence:
             assert score_run(records, admissible) == score_run(scorer)
 
     def test_stored_lines_replay_to_the_runs_summary(self):
-        # a log's proposal lines (raw text, parsed form, category), folded
-        # without their evaluations, give the scorer's every number and keys
+        # a log's proposal lines (raw text, parsed form, category), added
+        # with the evaluations their categories state, give back the records
+        # and the scorer's every number and keys
         rng = random.Random(35)
         for _ in range(200):
             h_size = rng.randint(1, 8)
             admissible = frozenset(f"h{i}" for i in range(h_size))
             records, scorer = scored(fuzz_items(rng, h_size), admissible)
             lines = RunScorer(h_size)
-            keys = [lines.observe_line(r.raw_text, r.parsed, r.category)
-                    for r in records]
-            assert keys == [metrics.record_key(r) for r in records]
+            readd = [
+                lines.add(r.index, r.raw_text,
+                          metrics.stated_evaluation(r.parsed, r.category))
+                for r in records
+            ]
+            assert readd == records  # so each record's key too
             assert score_run(lines) == score_run(scorer)
             assert lines.creativity() == scorer.creativity()
             assert lines.n == scorer.n
@@ -136,6 +141,27 @@ class TestNoveltyRule:
         make_record(1, "k", TextEvaluation(parse_error="junk"), scorer)
         assert scorer.is_novel("k") == 0
         assert scorer.is_novel("k", valid=True) == 1
+
+    def test_replay_of_records_the_rule_does_not_give_raises(self):
+        # one form proposed as "a", "b", "a": the two duplicates swapped
+        # keep every count, but not the rule's order
+        records, _ = scored([("a", TextEvaluation("h0", valid=True)),
+                             ("b", TextEvaluation("h0", valid=True)),
+                             ("a", TextEvaluation("h0", valid=True))], {"h0"})
+        assert [r.category for r in records] == [
+            "valid_novel", "duplicate_canonical", "duplicate_exact",
+        ]
+        assert RunScorer.replay(records).n == 3
+        swapped = [
+            records[0],
+            dataclasses.replace(records[1], category="duplicate_exact"),
+            dataclasses.replace(records[2], category="duplicate_canonical"),
+        ]
+        with pytest.raises(ValueError, match="breaks the novelty rule"):
+            RunScorer.replay(swapped)
+        forged = [records[0], dataclasses.replace(records[1], category="valid_novel", novel=1)]
+        with pytest.raises(ValueError, match="breaks the novelty rule"):
+            score_run(forged, {"h0"})
 
 
 class TestEntropySeries:
